@@ -1,6 +1,6 @@
 """Reward centroids for generalizing demonstrated behavior in tabular MDPs."""
 
-from .errors import DomainError, InfeasibleConstraintError
+from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams
 from .mdp import (
     OccupancyMeasure,
@@ -22,6 +22,7 @@ __all__ = [
     "OccupancyMeasure",
     "PolicyTable",
     "RewardTable",
+    "SolverError",
     "SoftValueFunctions",
     "TabularMdp",
     "ValueFunctions",

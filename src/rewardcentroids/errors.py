@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class InfeasibleConstraintError(DomainError):
     """No policy satisfies the requested cost/budget constraint."""
+
+
+class SolverError(DomainError):
+    """The LP solver stopped abnormally (iteration limit or unexpected status)."""

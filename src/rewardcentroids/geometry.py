@@ -19,7 +19,6 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
-    ValueFunctions,
     boltzmann_policy,
     expected_next_values,
     greedy_policy,
@@ -305,8 +304,3 @@ def t_matrix_determinant_check(
     det_t = abs(float(np.linalg.det(t_matrix(mdp, det_policy))))
     det_w = abs(float(np.linalg.det(w_matrix(mdp, det_policy))))
     return det_t, det_w
-
-
-def optimality_certificate(vf: ValueFunctions, tol: float) -> bool:
-    """True when no action improves on the value function by more than tol."""
-    return bool((vf.q - vf.v[:, None]).max() <= tol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -97,7 +97,7 @@ def _run_simplex(tab, cost, basis, buf, entering_limit: int) -> str:
         if row is None:
             return UNBOUNDED
         _pivot(tab, cost, basis, buf, row, col)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverError("simplex iteration limit exceeded")
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -143,7 +143,7 @@ def solve(lp: LinearProgram) -> LpSolution:
             cost1 -= tab[i]
         status = _run_simplex(tab, cost1, basis, buf, n_cols)
         if status != OPTIMAL:  # phase 1 is bounded below by 0
-            raise RuntimeError("phase 1 terminated abnormally")
+            raise SolverError("phase 1 terminated abnormally")
         if -cost1[-1] > feas_tol:
             return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"))
         # Pivot basic artificials out; rows that cannot are redundant.

@@ -1,10 +1,12 @@
 """Planning in new environments: greedy, budget-constrained, and imitation baselines.
 
-Constrained planning maximizes expected reward over occupancy measures with
-the flow equations as constraints, so the budget "discounted cost value at
-the initial state <= k" becomes the linear constraint sum(d * c) <= (1-gamma)k.
-The MIMIC baseline instead finds the occupancy in the target environment
-closest in L1 distance to the expert's occupancy in the source environment.
+Both LPs share one builder over the occupancy d of the target environment,
+with the flow equations and sum(d) = 1 as equalities; the budget "discounted
+cost value at the initial state <= k" becomes sum(d * c) <= (1-gamma)k.
+Constrained planning maximizes expected reward over d.  The MIMIC baseline
+finds the d closest in L1 distance to the expert's occupancy d_E in the
+source environment: one slack w_i >= d_E,i - d_i per pair on the expert's
+support, and since sum(d) = 1, sum|d - d_E| = 1 - sum(d_E) + 2 sum(w).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleConstraintError
+from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import AdvantageGap, t_operator
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve
 from .mdp import (
@@ -80,7 +82,6 @@ def _occupancy_lp(
     constraint: ConstraintSpec | None,
     budget_convention: str,
     extra_vars: int = 0,
-    extra_eq: tuple[np.ndarray, np.ndarray] | None = None,
     extra_ub: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearProgram:
     S, A = mdp.num_states, mdp.num_actions
@@ -105,9 +106,6 @@ def _occupancy_lp(
         row[0, : S * A] = constraint.cost.values.ravel()
         ub_lhs = np.vstack([ub_lhs, row])
         ub_rhs = np.concatenate([ub_rhs, [cap]])
-    if extra_eq is not None:
-        eq_lhs = np.vstack([eq_lhs, extra_eq[0]])
-        eq_rhs = np.concatenate([eq_rhs, extra_eq[1]])
     if extra_ub is not None:
         ub_lhs = np.vstack([ub_lhs, extra_ub[0]])
         ub_rhs = np.concatenate([ub_rhs, extra_ub[1]])
@@ -150,7 +148,7 @@ def plan_constrained(
     if sol.status == INFEASIBLE:
         raise InfeasibleConstraintError("no policy satisfies the cost budget")
     if sol.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {sol.status}")
+        raise SolverError(f"unexpected LP status {sol.status}")
     policy, occ = _solution_occupancy(mdp, sol)
     value = float((occ.d * r.values).sum() / (1.0 - mdp.discount))
     return PlanResult(policy=policy, occupancy=occ, value=value)
@@ -161,62 +159,40 @@ def mimic_policy(
     expert: PolicyTable,
     target_mdp: TabularMdp,
     constraint: ConstraintSpec | None = None,
-    budget_convention: str = VALUE_BUDGET,
 ) -> MimicResult:
     """Occupancy matching: the feasible target occupancy L1-closest to the expert's.
 
-    The L1 objective is linearized by writing d = d_expert + u - v with
-    u, v >= 0 and minimizing sum(u + v); at a vertex optimum u and v are
-    complementary, so the objective equals the L1 distance.
+    Minimizes sum(w) over the occupancy d and one slack w_i >= d_E,i - d_i per
+    pair i in the support K of d_E.  Off K, |d_i - d_E,i| = d_i, and on K at
+    the optimum w_i = max(d_E,i - d_i, 0), so with sum(d) = 1 the objective
+    is (sum|d - d_E| - 1 + sum(d_E)) / 2: the same minimizer as the L1
+    distance.  The reported distance is that of the re-solved occupancy.
+    A cost budget uses the value convention.
     """
     if (source_mdp.num_states, source_mdp.num_actions) != (
         target_mdp.num_states,
         target_mdp.num_actions,
     ):
         raise DomainError("source and target MDPs must share state/action spaces")
-    S, A = target_mdp.num_states, target_mdp.num_actions
-    sa = S * A
+    sa = target_mdp.num_states * target_mdp.num_actions
     d_e = occupancy_measure(source_mdp, expert).d.ravel()
-
-    # Variables: [u, v]; d is eliminated as d = d_e + u - v.
-    objective = np.ones(2 * sa)
-    flow_lhs, flow_rhs = _flow_rows(target_mdp)
-    eq_lhs = np.zeros((S + 1, 2 * sa))
-    eq_lhs[:S, :sa] = flow_lhs
-    eq_lhs[:S, sa:] = -flow_lhs
-    eq_rhs = np.concatenate([flow_rhs - flow_lhs @ d_e, [1.0 - d_e.sum()]])
-    eq_lhs[S, :sa] = 1.0
-    eq_lhs[S, sa:] = -1.0
-    # d >= 0  <=>  v - u <= d_e
-    ub_lhs = np.zeros((sa, 2 * sa))
-    ub_lhs[:, :sa] = -np.eye(sa)
-    ub_lhs[:, sa:] = np.eye(sa)
-    ub_rhs = d_e.copy()
-    if constraint is not None:
-        if constraint.cost.shape != (S, A):
-            raise DomainError("constraint cost shape does not match the MDP")
-        if budget_convention == VALUE_BUDGET:
-            cap = (1.0 - target_mdp.discount) * constraint.budget
-        elif budget_convention == OCCUPANCY_BUDGET:
-            cap = constraint.budget
-        else:
-            raise DomainError(f"unknown budget convention {budget_convention!r}")
-        c = constraint.cost.values.ravel()
-        row = np.concatenate([c, -c])[None, :]
-        ub_lhs = np.vstack([ub_lhs, row])
-        ub_rhs = np.concatenate([ub_rhs, [cap - c @ d_e]])
-    lp = LinearProgram(
-        objective=objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs, ub_lhs=ub_lhs, ub_rhs=ub_rhs
+    support = np.flatnonzero(d_e)
+    k = support.size
+    objective = np.concatenate([np.zeros(sa), np.ones(k)])
+    # w_i >= d_E,i - d_i  <=>  -d_i - w_i <= -d_E,i
+    slack_lhs = np.zeros((k, sa + k))
+    slack_lhs[np.arange(k), support] = -1.0
+    slack_lhs[:, sa:] = -np.eye(k)
+    lp = _occupancy_lp(
+        target_mdp, objective, constraint, VALUE_BUDGET,
+        extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
     )
     sol = solve(lp)
     if sol.status == INFEASIBLE:
         raise InfeasibleConstraintError("no feasible occupancy satisfies the constraints")
     if sol.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {sol.status}")
-    d = np.maximum(d_e + sol.x[:sa] - sol.x[sa:], 0.0).reshape(S, A)
-    d /= d.sum()
-    policy = policy_from_occupancy(OccupancyMeasure(d))
-    occ = occupancy_measure(target_mdp, policy)
+        raise SolverError(f"unexpected LP status {sol.status}")
+    policy, occ = _solution_occupancy(target_mdp, sol)
     l1 = float(np.abs(occ.d.ravel() - d_e).sum())
     return MimicResult(policy=policy, occupancy=occ, l1_distance=l1)
 

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from rewardcentroids import lp
 from rewardcentroids.cli import main
-from rewardcentroids.mdp import PolicyTable, TabularMdp
+from rewardcentroids.mdp import PolicyTable, RewardTable, TabularMdp
+from rewardcentroids.planning import ConstraintSpec
 from rewardcentroids.serialization import (
     load_trajectories,
+    save_constraint,
     save_mdp,
     save_policy,
+    save_reward,
     save_support,
 )
 
@@ -39,6 +43,21 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_domain_error_exit_code(chain_files, capsys):
     # OPT centroid without a support file
     code = main(["centroid", "--model", "opt", "--policy", str(chain_files / "expert.json")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solver_error_exit_code(chain_files, capsys, monkeypatch):
+    save_reward(RewardTable([[0.0, 1.0], [1.0, 0.0]]), chain_files / "r.json")
+    save_constraint(
+        ConstraintSpec(cost=RewardTable(np.ones((2, 2))), budget=5.0), chain_files / "c.json"
+    )
+    monkeypatch.setattr(lp, "MAX_ITERS", 1)
+    code = main([
+        "plan", "--mdp", str(chain_files / "mdp.json"),
+        "--reward", str(chain_files / "r.json"),
+        "--constraint", str(chain_files / "c.json"),
+    ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from rewardcentroids.errors import DomainError
+from rewardcentroids import lp as lp_module
+from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -81,6 +82,11 @@ class TestExamples:
                 objective=[1.0, 2.0], eq_lhs=[[1.0, 0.0]], eq_rhs=[1.0, 2.0],
                 ub_lhs=np.zeros((0, 2)), ub_rhs=[],
             )
+
+    def test_iteration_limit_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "MAX_ITERS", 1)
+        with pytest.raises(SolverError):
+            solve(ub_program([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]))
 
 
 class TestAgainstBruteForce:

@@ -4,6 +4,7 @@ import pytest
 from rewardcentroids.centroids import CentroidRequest, centroid_opt
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError
 from rewardcentroids.geometry import BehaviorModel, is_feasible
+from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
     OccupancyMeasure,
@@ -28,6 +29,38 @@ from rewardcentroids.planning import (
 )
 
 from conftest import det_policy, one_state_mdp
+
+
+def flow_matrix(mdp):
+    """Row s, column (s', a'): [s == s'] - gamma p(s | s', a')."""
+    S, A = mdp.num_states, mdp.num_actions
+    lhs = np.repeat(np.eye(S), A, axis=1)
+    return lhs - mdp.discount * mdp.transitions.reshape(S * A, S).T
+
+
+def flow_residual(mdp, d):
+    rhs = np.zeros(mdp.num_states)
+    rhs[mdp.initial_state] = 1.0 - mdp.discount
+    return float(np.abs(flow_matrix(mdp) @ d.ravel() - rhs).max())
+
+
+def dense_l1_optimum(target, d_e, constraint=None):
+    """Optimum of the u/v program: d = d_E + u - v, minimize sum(u + v)."""
+    sa = d_e.size
+    flow = flow_matrix(target)
+    rhs = np.zeros(target.num_states)
+    rhs[target.initial_state] = 1.0 - target.discount
+    eq_lhs = np.vstack([np.hstack([flow, -flow]), np.concatenate([np.ones(sa), -np.ones(sa)])])
+    eq_rhs = np.concatenate([rhs - flow @ d_e, [1.0 - d_e.sum()]])
+    ub_lhs = np.hstack([-np.eye(sa), np.eye(sa)])  # d >= 0
+    ub_rhs = d_e.copy()
+    if constraint is not None:
+        c = constraint.cost.values.ravel()
+        ub_lhs = np.vstack([ub_lhs, np.concatenate([c, -c])])
+        ub_rhs = np.append(ub_rhs, (1.0 - target.discount) * constraint.budget - c @ d_e)
+    sol = solve(LinearProgram(np.ones(2 * sa), eq_lhs, eq_rhs, ub_lhs, ub_rhs))
+    assert sol.status == OPTIMAL
+    return sol.objective_value
 
 
 def slack_constraint(mdp, scale=1.0):
@@ -179,6 +212,46 @@ class TestMimic:
             mimic_policy(
                 mdp, expert, mdp, ConstraintSpec(cost=RewardTable(unavoidable), budget=0.0)
             )
+
+
+class TestMimicOptimum:
+    """The sparse d + w program reaches the optimum of the dense u/v program."""
+
+    def check(self, src, expert, dst, constraint=None):
+        d_e = occupancy_measure(src, expert).d.ravel()
+        result = mimic_policy(src, expert, dst, constraint)
+        assert result.l1_distance == pytest.approx(
+            dense_l1_optimum(dst, d_e, constraint), abs=1e-9
+        )
+        assert flow_residual(dst, result.occupancy.d) <= 1e-9
+        return d_e
+
+    def instances(self, rng, count=8):
+        for _ in range(count):
+            S, A = int(rng.integers(4, 7)), int(rng.integers(2, 4))
+            gamma = float(rng.uniform(0.5, 0.9))
+            yield S, A, random_mdp(S, A, gamma, rng), random_mdp(S, A, gamma, rng)
+
+    def test_full_support_experts(self, rng):
+        for S, A, src, dst in self.instances(rng):
+            d_e = self.check(src, random_policy(S, A, rng), dst)
+            assert np.all(d_e > 0)
+
+    def test_deterministic_experts(self, rng):
+        for S, A, src, dst in self.instances(rng):
+            d_e = self.check(src, det_policy(rng.integers(A, size=S), A), dst)
+            assert np.any(d_e == 0)
+
+    def test_experts_under_cost_budget(self, rng):
+        for S, A, src, dst in self.instances(rng):
+            cost = RewardTable(rng.uniform(0.0, 1.0, size=(S, A)))
+            # between the cheapest and the uniform policy's cost value, so the
+            # budget is feasible and usually binding
+            uniform = PolicyTable(np.full((S, A), 1.0 / A))
+            floor = value_iteration(dst, RewardTable(-cost.values)).v[dst.initial_state]
+            top = policy_evaluation(dst, uniform, cost).v[dst.initial_state]
+            budget = float(-floor + rng.uniform(0.0, 1.0) * (top + floor))
+            self.check(src, random_policy(S, A, rng), dst, ConstraintSpec(cost, budget))
 
 
 class TestBaselines:
