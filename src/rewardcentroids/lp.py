@@ -1,9 +1,14 @@
 """Self-contained dense linear-program solver.
 
-Two-phase primal simplex on a dense tableau with Bland's anti-cycling rule:
-the entering variable is the lowest-index column with a negative reduced
-cost, and ratio-test ties leave the lowest-index basic variable.  Vertex
-solutions make downstream policy extraction deterministic.
+Two-phase primal simplex on a dense tableau.  The entering variable is the
+column with the most negative reduced cost (Dantzig's rule); the leaving
+variable passes the minimum-ratio test, ties going to the lowest-index basic
+variable.  Dantzig's rule can cycle on degenerate vertices, so once as many
+consecutive degenerate pivots (zero step length) have been taken as there
+are candidate columns, the entering variable becomes the lowest-index column
+with a negative reduced cost (Bland's rule, which cannot cycle) until a
+pivot makes progress again.  Vertex solutions make downstream policy
+extraction deterministic.
 """
 
 from __future__ import annotations
@@ -60,14 +65,15 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float
     dual: np.ndarray | None = None  # one multiplier per row, eq rows first
+    pivots: tuple[int, int] = (0, 0)  # phase 1 (with artificials driven out), phase 2
 
 
-def _bland_entering(redcost: np.ndarray, limit: int) -> int | None:
-    candidates = np.flatnonzero(redcost[:limit] < -PIVOT_TOL)
-    return int(candidates[0]) if candidates.size else None
+def _bland_entering(redcost: np.ndarray, limit: int) -> int:
+    """Lowest-index column with a negative reduced cost; one must exist."""
+    return int(np.flatnonzero(redcost[:limit] < -PIVOT_TOL)[0])
 
 
-def _bland_leaving(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
+def _ratio_leaving(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     rates = tab[:, col]
     rows = np.flatnonzero(rates > PIVOT_TOL)
     if rows.size == 0:
@@ -88,14 +94,19 @@ def _pivot(tab, cost, basis, buf, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tab, cost, basis, buf, entering_limit: int) -> str:
-    for _ in range(MAX_ITERS):
-        col = _bland_entering(cost[:-1], entering_limit)
-        if col is None:
-            return OPTIMAL
-        row = _bland_leaving(tab, basis, col)
+def _run_simplex(tab, cost, basis, buf, entering_limit: int) -> tuple[str, int]:
+    """Pivot to optimality; returns the status and the number of pivots taken."""
+    stalled = 0  # consecutive degenerate pivots
+    for pivots in range(MAX_ITERS):
+        col = int(np.argmin(cost[:entering_limit]))
+        if cost[col] >= -PIVOT_TOL:
+            return OPTIMAL, pivots
+        if stalled >= entering_limit:
+            col = _bland_entering(cost, entering_limit)
+        row = _ratio_leaving(tab, basis, col)
         if row is None:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
+        stalled = stalled + 1 if tab[row, -1] <= PIVOT_TOL else 0
         _pivot(tab, cost, basis, buf, row, col)
     raise SolverError("simplex iteration limit exceeded")
 
@@ -136,22 +147,25 @@ def solve(lp: LinearProgram) -> LpSolution:
     buf = np.empty_like(tab)
     keep = np.ones(m, dtype=bool)
 
+    phase1 = 0
     if art_rows.size:
         cost1 = np.zeros(n_cols + 1)
         cost1[n_struct:n_cols] = 1.0
         for i in art_rows:
             cost1 -= tab[i]
-        status = _run_simplex(tab, cost1, basis, buf, n_cols)
+        status, phase1 = _run_simplex(tab, cost1, basis, buf, n_cols)
         if status != OPTIMAL:  # phase 1 is bounded below by 0
             raise SolverError("phase 1 terminated abnormally")
         if -cost1[-1] > feas_tol:
-            return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"))
+            return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"),
+                              pivots=(phase1, 0))
         # Pivot basic artificials out; rows that cannot are redundant.
         for i in range(m):
             if basis[i] >= n_struct:
                 pivots = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
                 if pivots.size:
                     _pivot(tab, cost1, basis, buf, i, int(pivots[0]))
+                    phase1 += 1
                 else:
                     keep[i] = False
         if not np.all(keep):
@@ -166,9 +180,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     for i in range(basis.size):
         if cost2[basis[i]] != 0.0:
             cost2 -= cost2[basis[i]] * tab[i]
-    status = _run_simplex(tab, cost2, basis, buf, n_struct)
+    status, phase2 = _run_simplex(tab, cost2, basis, buf, n_struct)
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, x=None, objective_value=float("-inf"))
+        return LpSolution(status=UNBOUNDED, x=None, objective_value=float("-inf"),
+                          pivots=(phase1, phase2))
 
     x_full = np.zeros(n_struct)
     x_full[basis] = np.maximum(tab[:, -1], 0.0)
@@ -188,4 +203,4 @@ def solve(lp: LinearProgram) -> LpSolution:
         except np.linalg.LinAlgError:
             y[:] = np.nan
     y[flip] *= -1.0
-    return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y)
+    return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y, pivots=(phase1, phase2))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rewardcentroids import lp as lp_module
 from rewardcentroids.errors import DomainError, SolverError
@@ -115,6 +117,13 @@ class TestAgainstBruteForce:
             assert np.all(sol.x >= -scale)
 
 
+def assert_dual_certificate(c, A, b, sol):
+    y = sol.dual
+    assert y @ b == pytest.approx(sol.objective_value, abs=1e-7)
+    assert np.all(c - A.T @ y >= -1e-7)  # dual feasibility
+    assert np.all(y <= 1e-9)  # <= rows carry nonpositive multipliers
+
+
 class TestDuality:
     def test_certificates_on_random_programs(self, rng):
         for _ in range(100):
@@ -124,10 +133,7 @@ class TestDuality:
             b = np.concatenate([rng.uniform(0.2, 2.0, size=3), [rng.uniform(1.0, 4.0)]])
             sol = solve(ub_program(c, A, b))
             assert sol.status == OPTIMAL
-            y = sol.dual
-            assert y @ b == pytest.approx(sol.objective_value, abs=1e-7)
-            assert np.all(c - A.T @ y >= -1e-7)  # dual feasibility
-            assert np.all(y <= 1e-9)  # <= rows carry nonpositive multipliers
+            assert_dual_certificate(c, A, b, sol)
 
     def test_equality_duals(self, rng):
         for _ in range(50):
@@ -148,8 +154,12 @@ class TestDuality:
 
 
 class TestDegeneracy:
-    def test_cycling_prone_instance_terminates(self):
+    # Each of these programs makes Dantzig pricing cycle forever at the origin;
+    # with the iteration limit at 100 they also show that the fallback to
+    # Bland's rule engages after a stall as long as the candidate columns.
+    def test_cycling_prone_instance_terminates(self, monkeypatch):
         # classic Beale-style degenerate instance
+        monkeypatch.setattr(lp_module, "MAX_ITERS", 100)
         c = np.array([-0.75, 150.0, -0.02, 6.0])
         A = np.array(
             [
@@ -162,6 +172,58 @@ class TestDegeneracy:
         sol = solve(ub_program(c, A, b))
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05)
+
+    def test_beale_original_terminates(self, monkeypatch):
+        # Beale (1955)
+        monkeypatch.setattr(lp_module, "MAX_ITERS", 100)
+        c = np.array([-0.75, 20.0, -0.5, 6.0])
+        A = np.array(
+            [
+                [0.25, -8.0, -1.0, 9.0],
+                [0.5, -12.0, -0.5, 3.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ]
+        )
+        b = np.array([0.0, 0.0, 1.0])
+        sol = solve(ub_program(c, A, b))
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(-1.25)
+        assert_dual_certificate(c, A, b, sol)
+
+    def test_chvatal_example_terminates(self, monkeypatch):
+        # Chvatal, Linear Programming (1983), the cycling example of chapter 3
+        monkeypatch.setattr(lp_module, "MAX_ITERS", 100)
+        c = np.array([-10.0, 57.0, 9.0, 24.0])
+        A = np.array(
+            [
+                [0.5, -5.5, -2.5, 9.0],
+                [0.5, -1.5, -0.5, 1.0],
+                [1.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        b = np.array([0.0, 0.0, 1.0])
+        sol = solve(ub_program(c, A, b))
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(-1.0)
+        assert_dual_certificate(c, A, b, sol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_random_degenerate_programs(self, n, m, seed):
+        # Small integer data with zero right-hand sides: many vertices sit on
+        # more than n active constraints, and reduced costs often tie.
+        rng = np.random.default_rng(seed)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        A = np.vstack([rng.integers(-2, 3, size=(m, n)), np.ones(n)]).astype(float)
+        b = np.concatenate([rng.choice([0.0, 0.0, 1.0, 2.0], size=m), [float(rng.integers(1, 4))]])
+        sol = solve(ub_program(c, A, b))
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(brute_force_min(c, A, b), abs=1e-8)
+        assert_dual_certificate(c, A, b, sol)
 
     def test_redundant_rows_are_dropped(self):
         lp = LinearProgram(
@@ -178,3 +240,4 @@ class TestDegeneracy:
     def test_solution_type(self):
         sol = solve(ub_program([-1.0], [[1.0]], [1.0]))
         assert isinstance(sol, LpSolution)
+        assert sol.pivots == (0, 1)  # no artificial column, one phase-2 pivot

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rewardcentroids import planning
 from rewardcentroids.centroids import CentroidRequest, centroid_opt
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError
 from rewardcentroids.geometry import BehaviorModel, is_feasible
+from rewardcentroids.gridworld import run_scenario
 from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
@@ -146,6 +150,22 @@ class TestConstrained:
     def test_negative_budget_rejected(self):
         with pytest.raises(DomainError):
             ConstraintSpec(cost=RewardTable([[0.0]]), budget=-1.0)
+
+    def test_gridworld_program_takes_few_pivots(self, monkeypatch, tmp_path):
+        # figG4d's 500-variable, 102-row program: about 400 pivots with
+        # largest-coefficient pricing, 6040 with Bland's rule throughout.
+        solutions = []
+
+        def recording_solve(program):
+            solutions.append(solve(program))
+            return solutions[-1]
+
+        monkeypatch.setattr(planning, "solve", recording_solve)
+        config = Path(__file__).resolve().parent.parent / "configs" / "figG4d.json"
+        run_scenario("figG4d", config, tmp_path)
+        assert len(solutions) == 1
+        assert solutions[0].status == OPTIMAL
+        assert sum(solutions[0].pivots) < 1000
 
 
 class TestPolicyFromOccupancy:
