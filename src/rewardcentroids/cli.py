@@ -201,6 +201,8 @@ def _check_centroid_opt(n: int, seed: int) -> dict:
     support = frozenset({0})
     params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
     est = mclab.mc_centroid_opt(mdp, expert, support, params, n, seed)
+    if est.n_accepted == 0:
+        raise DomainError(f"centroid-opt accepted none of {n} samples; use a larger --n")
     req = CentroidRequest(
         expert=expert, support=support, model=BehaviorModel.opt(), num_actions=2
     )
@@ -245,6 +247,8 @@ def _check_centroid_prior(n: int, seed: int) -> dict:
     mdp = _prop4_instance(seed)
     params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
     est = mclab.mc_centroid_prior(mdp, params, n, seed)
+    if est.n_accepted == 0:
+        raise DomainError(f"centroid-prior accepted none of {n} samples; use a larger --n")
     _, residual = constant_fit(RewardTable(est.mean))
     bound = 4.0 * float(np.max(est.std_error))
     return {

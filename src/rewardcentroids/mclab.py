@@ -3,9 +3,9 @@
 The estimators here are the package's independent oracles: hypercube volume
 fractions of feasible sets, exact 1-d segment lengths, rejection-sampled
 centroids of the bounded sets, manifold-parameterized centroids, and the
-cross-environment bias ratio.  Membership tests are vectorized over sample
-batches by evaluating fixed policies with dense linear algebra (policy
-improvement is linear in the reward), never by per-sample value iteration.
+cross-environment bias ratio.  Membership never runs per-sample value
+iteration: a fixed policy's values and advantages are linear in the reward,
+so each policy becomes two fixed matrices applied to a column-laid batch.
 
 Sampling is chunked; chunk i draws from an independent counter-derived
 substream of the seed, so estimates depend only on (seed, n) no matter how
@@ -49,38 +49,35 @@ def _chunk_sizes(n: int) -> list[int]:
 
 
 class _PolicyEvaluator:
-    """Batched exact evaluation of one deterministic policy.
+    """Exact membership tests for one deterministic policy, as fixed linear maps.
 
-    Policy improvement on the resulting value function decides optimality;
-    everything is linear in the reward, so a whole batch is one matmul.
+    Over the flattened reward r (index s*A + a), v = value_map @ r and the
+    advantage q - v = gap_map @ r.  value_map (S, S*A) holds inv(I - gamma P_pi)
+    in the prescribed pairs' columns, zeros elsewhere; gap_map (S*A, S*A) is
+    I + gamma P value_map minus value_map repeated per action.  A batch of n
+    rewards is tested as the columns of an (S*A, n) view, one matmul per map.
     """
 
     def __init__(self, mdp: TabularMdp, actions: np.ndarray):
-        self.mdp = mdp
-        self.actions = np.asarray(actions, dtype=int)
-        S = mdp.num_states
-        p_pi = mdp.transitions[np.arange(S), self.actions]
-        w = np.eye(S) - mdp.discount * p_pi
-        self.inv_w_t = np.linalg.inv(w).T
-        sign, logdet = np.linalg.slogdet(w)
-        self.k_pi = float(np.exp(-logdet / S))
-
-    def values(self, rewards: np.ndarray) -> np.ndarray:
-        r_pi = rewards[:, np.arange(self.mdp.num_states), self.actions]
-        return r_pi @ self.inv_w_t
-
-    def q_tables(self, rewards: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return rewards + self.mdp.discount * np.einsum(
-            "sap,np->nsa", self.mdp.transitions, v
+        actions = np.asarray(actions, dtype=int)
+        S, A = mdp.num_states, mdp.num_actions
+        w = np.eye(S) - mdp.discount * mdp.transitions[np.arange(S), actions]
+        prescribed = np.arange(S) * A + actions
+        self.value_map = np.zeros((S, S * A))
+        self.value_map[:, prescribed] = np.linalg.inv(w)
+        self.gap_map = (
+            np.eye(S * A)
+            + mdp.discount * mdp.transitions.reshape(S * A, S) @ self.value_map
+            - np.repeat(self.value_map, A, axis=0)
         )
+        # q at the prescribed action equals v identically (Bellman row), so
+        # its row is zeroed out rather than left to floating-point noise.
+        self.gap_map[prescribed] = 0.0
+        self.k_pi = float(np.exp(-np.linalg.slogdet(w)[1] / S))
 
     def optimal_mask(self, rewards: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        # q at the prescribed action equals v identically (Bellman row), so
-        # it is zeroed out rather than left to floating-point noise.
-        v = self.values(rewards)
-        gap = self.q_tables(rewards, v) - v[:, :, None]
-        gap[:, np.arange(self.mdp.num_states), self.actions] = 0.0
-        return (gap <= tol).all(axis=(1, 2))
+        r = rewards.reshape(rewards.shape[0], -1).T
+        return (self.gap_map @ r).max(axis=0) <= tol
 
 
 def _evaluators_for_all_policies(mdp: TabularMdp) -> list[_PolicyEvaluator]:
@@ -102,14 +99,14 @@ def _bounded_opt_mask(
 ) -> np.ndarray:
     """Membership in the bounded OPT set, enumerating every deterministic policy."""
     n = rewards.shape[0]
+    r = rewards.reshape(n, -1).T
     violated = np.zeros(n, dtype=bool)
     any_optimal = np.zeros(n, dtype=bool)
     for ev in evaluators:
-        optimal = ev.optimal_mask(rewards, tol)
-        v = ev.values(rewards)
-        q = ev.q_tables(rewards, v)
-        bounded = (np.abs(v) <= c1 * ev.k_pi + tol).all(axis=1)
-        bounded &= (np.abs(q - v[:, :, None]) <= c2 + tol).all(axis=(1, 2))
+        gap = ev.gap_map @ r
+        optimal = gap.max(axis=0) <= tol
+        bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + tol
+        bounded &= np.abs(gap).max(axis=0) <= c2 + tol
         violated |= optimal & ~bounded
         any_optimal |= optimal
     return any_optimal & ~violated
@@ -263,11 +260,8 @@ def mc_centroid_opt(
     all_policies = _evaluators_for_all_policies(mdp)
 
     def accept(rewards: np.ndarray) -> np.ndarray:
-        mask = np.zeros(rewards.shape[0], dtype=bool)
-        for ev in extensions:
-            mask |= ev.optimal_mask(rewards)
-        mask &= _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
-        return mask
+        feasible = np.logical_or.reduce([ev.optimal_mask(rewards) for ev in extensions])
+        return feasible & _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
 
     return _accumulating_centroid(mdp, accept, box, n, seed)
 

@@ -117,6 +117,14 @@ def test_geometry_prop2_check(capsys):
     assert doc["estimate"] == [pytest.approx(2.0), pytest.approx(2.0 - np.log(2.0))]
 
 
+@pytest.mark.parametrize("check", ["centroid-opt", "centroid-prior"])
+def test_geometry_zero_acceptance_is_a_domain_error(check, capsys):
+    # ten draws from the outer box all miss the bounded set
+    assert main(["geometry", "--check", check, "--n", "10", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{check} accepted none of 10 samples; use a larger --n" in err
+
+
 def test_gridworld_build_and_render(tmp_path, capsys):
     spec = {"width": 2, "height": 2, "initial_cell": [0, 0], "gamma": 0.5,
             "blocked_cells": [[1, 1]]}

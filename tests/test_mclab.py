@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rewardcentroids.errors import DomainError
 from rewardcentroids.geometry import (
@@ -25,7 +27,7 @@ from rewardcentroids.mclab import (
     new_env_bias_ratio_closed_form,
     segment_volume_1d,
 )
-from rewardcentroids.mdp import PolicyTable, RewardTable, random_mdp
+from rewardcentroids.mdp import PolicyTable, RewardTable, k_pi, policy_evaluation, random_mdp
 
 from conftest import det_policy, one_state_mdp
 
@@ -69,30 +71,81 @@ class TestSegmentVolume:
             )
 
 
+def _rewards_near_policy(mdp, actions, rng, n, v_halfwidth, gap_range):
+    """Rewards whose values under `actions` are uniform in +-v_halfwidth and whose
+    advantages at the other actions are uniform in gap_range."""
+    S, A = mdp.num_states, mdp.num_actions
+    v = rng.uniform(-v_halfwidth, v_halfwidth, size=(n, S))
+    gaps = rng.uniform(*gap_range, size=(n, S, A))
+    gaps[:, np.arange(S), actions] = 0.0
+    return v[:, :, None] - mdp.discount * np.einsum("sap,np->nsa", mdp.transitions, v) + gaps
+
+
+# (S, A): 2x2 cannot tell states from actions; the other two can
+SHAPES = ((2, 2), (3, 2), (2, 3))
+
+
 class TestBatchedMembership:
     def test_matches_scalar_feasibility(self, rng):
-        mdp = random_mdp(2, 2, 0.6, rng)
-        policy = det_policy([1, 0], 2)
-        evaluator = _PolicyEvaluator(mdp, policy.actions())
-        rewards = rng.uniform(-2.0, 2.0, size=(300, 2, 2))
-        mask = evaluator.optimal_mask(rewards, tol=1e-10)
-        support = frozenset(range(2))
-        for i in range(0, 300, 7):
-            scalar = is_feasible(
-                mdp, policy, support, RewardTable(rewards[i]), BehaviorModel.opt(), tol=1e-9
-            )
-            assert scalar == bool(mask[i])
+        # tol 0.0, as the oracles use it: the prescribed pairs must give exact zeros
+        for S, A in SHAPES:
+            mdp = random_mdp(S, A, 0.6, rng)
+            actions = rng.integers(A, size=S)
+            policy = det_policy(actions, A)
+            rewards = np.concatenate([
+                rng.uniform(-2.0, 2.0, size=(150, S, A)),
+                _rewards_near_policy(mdp, actions, rng, 150, 1.0, (-1.0, 0.3)),
+            ])
+            mask = _PolicyEvaluator(mdp, actions).optimal_mask(rewards)
+            assert mask.any() and not mask.all()
+            support = frozenset(range(S))
+            for i in range(0, 300, 7):
+                scalar = is_feasible(
+                    mdp, policy, support, RewardTable(rewards[i]), BehaviorModel.opt(), tol=1e-9
+                )
+                assert scalar == bool(mask[i]), (S, A, i)
 
     def test_matches_scalar_bounded_set(self, rng):
-        mdp = random_mdp(2, 2, 0.6, rng)
         params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
-        evaluators = _evaluators_for_all_policies(mdp)
         lo, hi = bounding_box(params, 0.6)
-        rewards = rng.uniform(lo, hi, size=(300, 2, 2))
-        mask = _bounded_opt_mask(evaluators, rewards, 1.0, 1.0)
-        for i in range(0, 300, 7):
-            scalar = is_in_bounded_set(mdp, RewardTable(rewards[i]), params)
-            assert scalar == bool(mask[i])
+        for S, A in SHAPES:
+            mdp = random_mdp(S, A, 0.6, rng)
+            actions = rng.integers(A, size=S)
+            # the uniform box almost never hits the set; the slab of one
+            # policy, widened by 10%, lands on both sides of every bound
+            halfwidth = 1.1 * k_pi(mdp, det_policy(actions, A))
+            rewards = np.concatenate([
+                rng.uniform(lo, hi, size=(150, S, A)),
+                _rewards_near_policy(mdp, actions, rng, 150, halfwidth, (-1.1, 0.1)),
+            ])
+            mask = _bounded_opt_mask(_evaluators_for_all_policies(mdp), rewards, 1.0, 1.0)
+            assert mask.any() and not mask.all()
+            for i in range(0, 300, 7):
+                scalar = is_in_bounded_set(mdp, RewardTable(rewards[i]), params)
+                assert scalar == bool(mask[i]), (S, A, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    S=st.integers(1, 4),
+    A=st.integers(2, 3),
+    gamma=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**31),
+)
+def test_linear_maps_reproduce_policy_evaluation(S, A, gamma, seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(S, A, gamma, rng)
+    actions = rng.integers(A, size=S)
+    evaluator = _PolicyEvaluator(mdp, actions)
+    rewards = rng.uniform(-1.0, 1.0, size=(5, S, A))
+    r = rewards.reshape(5, -1).T
+    values, gaps = evaluator.value_map @ r, evaluator.gap_map @ r
+    for i in range(5):
+        exact = policy_evaluation(mdp, det_policy(actions, A), RewardTable(rewards[i]))
+        atol = 1e-9 * (1.0 + np.abs(exact.v).max()) / (1.0 - gamma)
+        np.testing.assert_allclose(values[:, i], exact.v, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(gaps[:, i].reshape(S, A), exact.advantage, rtol=0.0, atol=atol)
+    assert np.all(gaps.reshape(S, A, 5)[np.arange(S), actions] == 0.0)
 
 
 class TestVolumeFraction:
