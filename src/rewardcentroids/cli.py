@@ -86,7 +86,7 @@ def _cmd_plan(args) -> int:
     reward = ser.load_reward(args.reward)
     if args.constraint:
         spec = ser.load_constraint(args.constraint)
-        plan = plan_constrained(mdp, reward, spec, args.budget_convention)
+        plan = plan_constrained(mdp, reward, spec)
         policy, occ, value = plan.policy, plan.occupancy, plan.value
     else:
         policy = plan_unconstrained(mdp, reward)
@@ -231,15 +231,15 @@ def _check_centroid_manifold(n: int, seed: int) -> dict:
     worst = 0.0
     for eta in (eta_mce(policy, 1.0), eta_birl(policy, 1.0)):
         est = mclab.mc_centroid_manifold(mdp, eta, 2.0, n, seed)
-        gap = np.abs(est.mean - eta.values)
-        worst = max(worst, float((gap / np.maximum(4.0 * est.std_error, 1e-300)).max()))
+        sigmas = map(_sigmas, est.mean.ravel(), eta.values.ravel(), est.std_error.ravel())
+        worst = max(worst, float(max(sigmas)))
     return {
         "check": "centroid-manifold",
-        "estimate": worst,
+        "estimate": worst / 4.0,
         "std_error": 1.0,
         "target": 0.0,
-        "sigmas_off": worst * 4.0,
-        "pass": worst <= 1.0,
+        "sigmas_off": worst,
+        "pass": worst <= 4.0,
     }
 
 
@@ -256,7 +256,7 @@ def _check_centroid_prior(n: int, seed: int) -> dict:
         "estimate": residual,
         "std_error": float(np.max(est.std_error)),
         "target": 0.0,
-        "sigmas_off": residual / max(float(np.max(est.std_error)), 1e-300),
+        "sigmas_off": _sigmas(residual, 0.0, float(np.max(est.std_error))),
         "pass": residual <= bound,
     }
 
@@ -297,7 +297,10 @@ GEOMETRY_CHECKS = {
 def run_geometry_check(check: str, n: int, seed: int) -> dict:
     if check not in GEOMETRY_CHECKS:
         raise DomainError(f"unknown geometry check {check!r}")
-    return GEOMETRY_CHECKS[check](n, seed)
+    report = GEOMETRY_CHECKS[check](n, seed)
+    # An estimate off target with a zero standard error is an undefined
+    # number of standard errors away: JSON null, not Infinity.
+    return {k: None if isinstance(v, float) and np.isinf(v) else v for k, v in report.items()}
 
 
 def _cmd_geometry(args) -> int:
@@ -378,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--reward", required=True)
     p.add_argument("--constraint")
-    p.add_argument("--budget-convention", choices=["value", "occupancy"], default="value")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_plan)
 

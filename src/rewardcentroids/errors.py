@@ -10,4 +10,6 @@ class InfeasibleConstraintError(DomainError):
 
 
 class SolverError(DomainError):
-    """The LP solver stopped abnormally (iteration limit or unexpected status)."""
+    """A solver stopped abnormally: an LP iteration limit or unexpected status,
+    or the step cap of policy iteration or soft value iteration.
+    """

@@ -2,10 +2,10 @@
 
 The environment is a tuple (states, actions, initial state, transition
 tensor, discount).  Everything downstream (feasible-set geometry, centroids,
-planning) is built on the operations here: hard and soft value iteration,
-policy evaluation as a dense linear solve, occupancy measures from the flow
-equations, reachability, and the per-policy normalizer derived from
-det(I - gamma * P_pi).
+planning) is built on the operations here: the exact optimum by policy
+iteration, soft value iteration, policy evaluation as a dense linear solve,
+occupancy measures from the flow equations, reachability, and the per-policy
+normalizer derived from det(I - gamma * P_pi).
 """
 
 from __future__ import annotations
@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 
 ROW_SUM_ATOL = 1e-12
+GREEDY_RTOL = 1e-9  # q ties: q >= max q - GREEDY_RTOL * (1 + |max q|)
+MAX_POLICY_ITERATIONS = 1000
+MAX_SOFT_SWEEPS = 1_000_000  # gamma = 0.9999 needs about 330k sweeps
 
 
 def _as_readonly(a, shape, name: str) -> np.ndarray:
@@ -167,31 +170,39 @@ def expected_next_values(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     return mdp.transitions @ v
 
 
-def value_iteration(mdp: TabularMdp, r: RewardTable, tol: float = 1e-10) -> ValueFunctions:
-    """Bellman optimality fixed point.
+def _greedy_actions(q: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
+    """The one tie rule: per row, the current action while it is greedy, else
+    the lowest-index action within GREEDY_RTOL of the row maximum."""
+    top = q.max(axis=1, keepdims=True)
+    greedy = q >= top - GREEDY_RTOL * (1.0 + np.abs(top))
+    actions = np.argmax(greedy, axis=1)
+    if current is None:
+        return actions
+    return np.where(greedy[np.arange(q.shape[0]), current], current, actions)
 
-    Sweeps until the sup-norm delta drops below tol * (1 - gamma) / (2 gamma),
-    which bounds the distance to the exact optimum by tol / (1 - gamma).
-    The returned tables satisfy q = r + gamma * P v and v = max_a q exactly,
-    so the advantage has a zero row-wise maximum.
+
+def value_iteration(mdp: TabularMdp, r: RewardTable) -> ValueFunctions:
+    """Exact Bellman optimum by Howard's policy iteration (Puterman 1994, 6.4).
+
+    From the greedy actions of r: solve (I - gamma P_pi) v = r_pi, take
+    q = r + gamma P v and improve greedily until no action changes.  Returns
+    that q and v = max_a q, so the advantage has a zero row-wise maximum.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     _check_shape(mdp, r.values, "reward")
-    gamma = mdp.discount
-    v = np.zeros(mdp.num_states)
-    if gamma > 0:
-        stop = tol * (1.0 - gamma) / (2.0 * gamma)
-        while True:
-            q = r.values + gamma * expected_next_values(mdp, v)
-            v_new = q.max(axis=1)
-            delta = np.abs(v_new - v).max()
-            v = v_new
-            if delta <= stop:
-                break
-    q = r.values + gamma * expected_next_values(mdp, v)
-    v = q.max(axis=1)
-    return ValueFunctions(v=v, q=q, advantage=q - v[:, None])
+    S = mdp.num_states
+    rows = np.arange(S)
+    actions = _greedy_actions(r.values)
+    for _ in range(MAX_POLICY_ITERATIONS):
+        w = np.eye(S) - mdp.discount * mdp.transitions[rows, actions]
+        q = r.values + mdp.discount * expected_next_values(
+            mdp, np.linalg.solve(w, r.values[rows, actions])
+        )
+        improved = _greedy_actions(q, actions)
+        if np.array_equal(improved, actions):
+            v = q.max(axis=1)
+            return ValueFunctions(v=v, q=q, advantage=q - v[:, None])
+        actions = improved
+    raise SolverError(f"policy iteration did not stop within {MAX_POLICY_ITERATIONS} steps")
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
@@ -212,13 +223,15 @@ def soft_value_iteration(
     v = np.zeros(mdp.num_states)
     if gamma > 0:
         stop = tol * (1.0 - gamma) / (2.0 * gamma)
-        while True:
+        for _ in range(MAX_SOFT_SWEEPS):
             q = r.values + gamma * expected_next_values(mdp, v)
             v_new = lam * _logsumexp_rows(q / lam)
             delta = np.abs(v_new - v).max()
             v = v_new
             if delta <= stop:
                 break
+        else:
+            raise SolverError(f"soft value iteration did not stop within {MAX_SOFT_SWEEPS} sweeps")
     q = r.values + gamma * expected_next_values(mdp, v)
     v = lam * _logsumexp_rows(q / lam)
     return SoftValueFunctions(v=v, q=q, advantage=q - v[:, None], lam=lam)
@@ -296,9 +309,8 @@ def soft_optimal_policy(soft: SoftValueFunctions) -> PolicyTable:
 
 
 def greedy_policy(vf: ValueFunctions) -> PolicyTable:
-    """Deterministic argmax policy; lowest action index wins ties."""
-    actions = np.argmax(vf.q, axis=1)
-    return PolicyTable.from_actions(actions, vf.q.shape[1])
+    """Deterministic greedy policy; ties within GREEDY_RTOL go to the lowest index."""
+    return PolicyTable.from_actions(_greedy_actions(vf.q), vf.q.shape[1])
 
 
 def random_mdp(

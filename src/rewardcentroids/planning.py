@@ -28,9 +28,6 @@ from .mdp import (
     value_iteration,
 )
 
-VALUE_BUDGET = "value"        # V^pi(s0; c) <= k, the default
-OCCUPANCY_BUDGET = "occupancy"  # sum d*c <= k as written in the matching LP
-
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -80,7 +77,6 @@ def _occupancy_lp(
     mdp: TabularMdp,
     objective: np.ndarray,
     constraint: ConstraintSpec | None,
-    budget_convention: str,
     extra_vars: int = 0,
     extra_ub: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearProgram:
@@ -96,16 +92,10 @@ def _occupancy_lp(
     if constraint is not None:
         if constraint.cost.shape != (S, A):
             raise DomainError("constraint cost shape does not match the MDP")
-        if budget_convention == VALUE_BUDGET:
-            cap = (1.0 - mdp.discount) * constraint.budget
-        elif budget_convention == OCCUPANCY_BUDGET:
-            cap = constraint.budget
-        else:
-            raise DomainError(f"unknown budget convention {budget_convention!r}")
         row = np.zeros((1, n))
         row[0, : S * A] = constraint.cost.values.ravel()
         ub_lhs = np.vstack([ub_lhs, row])
-        ub_rhs = np.concatenate([ub_rhs, [cap]])
+        ub_rhs = np.concatenate([ub_rhs, [(1.0 - mdp.discount) * constraint.budget]])
     if extra_ub is not None:
         ub_lhs = np.vstack([ub_lhs, extra_ub[0]])
         ub_rhs = np.concatenate([ub_rhs, extra_ub[1]])
@@ -134,16 +124,11 @@ def _solution_occupancy(mdp: TabularMdp, sol: LpSolution) -> tuple[PolicyTable, 
     return policy, occupancy_measure(mdp, policy)
 
 
-def plan_constrained(
-    mdp: TabularMdp,
-    r: RewardTable,
-    constraint: ConstraintSpec,
-    budget_convention: str = VALUE_BUDGET,
-) -> PlanResult:
+def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec) -> PlanResult:
     """Maximize V(s0; r) over policies whose cost value stays within budget."""
     if r.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("reward shape does not match the MDP")
-    lp = _occupancy_lp(mdp, -r.values.ravel(), constraint, budget_convention)
+    lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
     sol = solve(lp)
     if sol.status == INFEASIBLE:
         raise InfeasibleConstraintError("no policy satisfies the cost budget")
@@ -167,7 +152,6 @@ def mimic_policy(
     the optimum w_i = max(d_E,i - d_i, 0), so with sum(d) = 1 the objective
     is (sum|d - d_E| - 1 + sum(d_E)) / 2: the same minimizer as the L1
     distance.  The reported distance is that of the re-solved occupancy.
-    A cost budget uses the value convention.
     """
     if (source_mdp.num_states, source_mdp.num_actions) != (
         target_mdp.num_states,
@@ -184,8 +168,7 @@ def mimic_policy(
     slack_lhs[np.arange(k), support] = -1.0
     slack_lhs[:, sa:] = -np.eye(k)
     lp = _occupancy_lp(
-        target_mdp, objective, constraint, VALUE_BUDGET,
-        extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
+        target_mdp, objective, constraint, extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
     )
     sol = solve(lp)
     if sol.status == INFEASIBLE:

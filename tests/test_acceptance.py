@@ -287,9 +287,9 @@ def test_criterion_10_imitation_consistency():
                     model=BehaviorModel.birl(1.1), num_actions=3,
                 )
                 centroid = centroid_birl(req)
-        planned = greedy_policy(value_iteration(mdp, centroid, tol=1e-12))
+        planned = greedy_policy(value_iteration(mdp, centroid))
         achieved = policy_evaluation(mdp, planned, r_e).v[mdp.initial_state]
-        best = value_iteration(mdp, r_e, tol=1e-12).v[mdp.initial_state]
+        best = value_iteration(mdp, r_e).v[mdp.initial_state]
         failures += int(abs(achieved - best) > 1e-7)
     report(10, failures == 0, f"{200 - failures}/200 centroid plans optimal under the true reward")
 
@@ -349,7 +349,7 @@ def test_criterion_12_lp_engine():
             cost=RewardTable(np.ones((S, A_))), budget=1.0 / (1.0 - gamma) + 1.0
         )
         plan = plan_constrained(mdp, r, slack)
-        best = value_iteration(mdp, r, tol=1e-10).v[mdp.initial_state]
+        best = value_iteration(mdp, r).v[mdp.initial_state]
         vi_mismatches += int(abs(plan.value - best) > 1e-6)
     ok = lp_mismatches == 0 and vi_mismatches == 0
     report(

@@ -297,7 +297,7 @@ class TestAffineFit:
 class TestImitationConsistency:
     def _assert_optimal(self, mdp, planned, r_e):
         achieved = policy_evaluation(mdp, planned, r_e).v[mdp.initial_state]
-        best = value_iteration(mdp, r_e, tol=1e-12).v[mdp.initial_state]
+        best = value_iteration(mdp, r_e).v[mdp.initial_state]
         assert achieved == pytest.approx(best, abs=1e-7)
 
     def test_opt_centroid_recovers_optimal_behavior(self, rng):
@@ -309,7 +309,7 @@ class TestImitationConsistency:
             gaps[np.arange(4), actions] = 0.0
             r_e = t_operator(mdp, expert, rng.normal(size=4), AdvantageGap(gaps))
             centroid = centroid_opt(opt_request(expert, range(4), 3))
-            planned = greedy_policy(value_iteration(mdp, centroid, tol=1e-12))
+            planned = greedy_policy(value_iteration(mdp, centroid))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_mce_centroid_recovers_optimal_behavior(self, rng):
@@ -323,7 +323,7 @@ class TestImitationConsistency:
                 expert=expert, support=frozenset(range(4)), model=BehaviorModel.mce(0.7), num_actions=3
             )
             centroid = centroid_mce(req)
-            planned = greedy_policy(value_iteration(mdp, centroid, tol=1e-12))
+            planned = greedy_policy(value_iteration(mdp, centroid))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_birl_centroid_recovers_optimal_behavior(self, rng):
@@ -337,7 +337,7 @@ class TestImitationConsistency:
                 expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.2), num_actions=3
             )
             centroid = centroid_birl(req)
-            planned = greedy_policy(value_iteration(mdp, centroid, tol=1e-12))
+            planned = greedy_policy(value_iteration(mdp, centroid))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_birl_centroid_transfers_to_new_environments(self, rng):
@@ -353,7 +353,7 @@ class TestImitationConsistency:
         assert np.all(centroid.values.max(axis=1) == 0.0)
         for _ in range(10):
             new_env = random_mdp(4, 3, rng.uniform(0.1, 0.95), rng, initial_state=int(rng.integers(4)))
-            vf = value_iteration(new_env, centroid, tol=1e-12)
+            vf = value_iteration(new_env, centroid)
             planned = greedy_policy(vf)
             assert vf.v == pytest.approx(np.zeros(4), abs=1e-9)
             assert np.all(planned.actions() == np.argmax(centroid.values, axis=1))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rewardcentroids import lp
+from rewardcentroids import lp, mdp as mdp_module
 from rewardcentroids.cli import main
 from rewardcentroids.mdp import PolicyTable, RewardTable, TabularMdp
 from rewardcentroids.planning import ConstraintSpec
@@ -57,6 +57,19 @@ def test_solver_error_exit_code(chain_files, capsys, monkeypatch):
         "plan", "--mdp", str(chain_files / "mdp.json"),
         "--reward", str(chain_files / "r.json"),
         "--constraint", str(chain_files / "c.json"),
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_policy_iteration_cap_exit_code(chain_files, capsys, monkeypatch):
+    # Greedy on r stays in state 0; moving to state 1 is optimal, so policy
+    # iteration needs a second step.
+    save_reward(RewardTable([[1.0, 0.0], [5.0, 5.0]]), chain_files / "r.json")
+    monkeypatch.setattr(mdp_module, "MAX_POLICY_ITERATIONS", 1)
+    code = main([
+        "plan", "--mdp", str(chain_files / "mdp.json"),
+        "--reward", str(chain_files / "r.json"),
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
@@ -123,6 +136,23 @@ def test_geometry_zero_acceptance_is_a_domain_error(check, capsys):
     assert main(["geometry", "--check", check, "--n", "10", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert f"{check} accepted none of 10 samples; use a larger --n" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "check, sigmas_off",
+    [("prop1", None), ("prop2", 0.0), ("prop4", None), ("centroid-manifold", None),
+     ("transfer-ratio", None)],
+)
+def test_geometry_report_is_standard_json(check, sigmas_off, capsys):
+    # One sample gives zero standard errors: an estimate off target is an
+    # undefined number of standard errors away, written as null.
+    main(["geometry", "--check", check, "--n", "1", "--seed", "1"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["sigmas_off"] == sigmas_off
 
 
 def test_gridworld_build_and_render(tmp_path, capsys):

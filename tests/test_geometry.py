@@ -83,7 +83,7 @@ class TestOperators:
             gaps = -rng.uniform(0.05, 1.0, size=(3, 3))
             gaps[np.arange(3), actions] = 0.0
             r = t_operator(mdp, policy, v, AdvantageGap(gaps))
-            vf = value_iteration(mdp, r, tol=1e-12)
+            vf = value_iteration(mdp, r)
             assert vf.v == pytest.approx(v, abs=1e-8)
             assert vf.advantage == pytest.approx(gaps, abs=1e-8)
 
@@ -120,7 +120,7 @@ class TestOperators:
             beta = 1.3
             v = rng.normal(size=3)
             r = u_operator(mdp, eta_birl(policy, beta), v)
-            vf = value_iteration(mdp, r, tol=1e-12)
+            vf = value_iteration(mdp, r)
             expected_adv = beta * (
                 np.log(policy.probs) - np.log(policy.probs.max(axis=1, keepdims=True))
             )

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rewardcentroids.errors import DomainError
+from rewardcentroids import mdp as mdp_module
+from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
     OccupancyMeasure,
@@ -23,6 +24,7 @@ from rewardcentroids.mdp import (
     value_iteration,
     w_matrix,
 )
+from rewardcentroids.planning import plan_unconstrained
 
 from conftest import det_policy, enumerate_optimal_values, one_state_mdp
 
@@ -95,7 +97,7 @@ class TestValueIteration:
         for _ in range(20):
             mdp = random_mdp(3, 2, 0.85, rng)
             r = rng.normal(size=(3, 2))
-            vf = value_iteration(mdp, RewardTable(r), tol=1e-10)
+            vf = value_iteration(mdp, RewardTable(r))
             assert vf.v == pytest.approx(enumerate_optimal_values(mdp, r), abs=1e-8)
 
     def test_contraction_of_sweeps(self, rng):
@@ -115,6 +117,44 @@ class TestValueIteration:
         mdp = random_mdp(4, 3, 0.7, rng)
         vf = value_iteration(mdp, RewardTable(rng.normal(size=(4, 3))))
         assert vf.advantage.max(axis=1) == pytest.approx(np.zeros(4), abs=1e-12)
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    @pytest.mark.parametrize("shift", [-1e-14, 0.0, 1e-14])
+    def test_exact_tie_resolves_to_lowest_action(self, entry, shift):
+        mdp = one_state_mdp(0.9)
+        r = np.ones((1, 2))
+        r[0, entry] += shift
+        reward = RewardTable(r)
+        assert greedy_policy(value_iteration(mdp, reward)).actions().tolist() == [0]
+        assert plan_unconstrained(mdp, reward).actions().tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_states=st.integers(1, 4),
+        num_actions=st.integers(2, 3),
+        gamma=st.floats(0.0, 0.999999),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_enumeration_up_to_high_discount(self, num_states, num_actions, gamma, seed):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(num_states, num_actions, gamma, rng)
+        r = rng.normal(size=(num_states, num_actions))
+        best = enumerate_optimal_values(mdp, r)
+        bound = 1e-9 * (1.0 + np.abs(best).max()) / (1.0 - gamma)
+        vf = value_iteration(mdp, RewardTable(r))
+        assert np.abs(vf.v - best).max() <= bound
+        revalued = policy_evaluation(mdp, greedy_policy(vf), RewardTable(r))
+        assert np.abs(revalued.v - best).max() <= bound
+
+    def test_step_cap_raises_solver_error(self, monkeypatch):
+        # Greedy on r stays in state 0 (reward 1 a step); moving to state 1
+        # (reward 5 a step) is optimal, so a second improvement step is needed.
+        mdp = fig_two_state_chain(0.5)
+        r = RewardTable([[1.0, 0.0], [5.0, 5.0]])
+        assert value_iteration(mdp, r).v == pytest.approx([5.0, 10.0])
+        monkeypatch.setattr(mdp_module, "MAX_POLICY_ITERATIONS", 1)
+        with pytest.raises(SolverError):
+            value_iteration(mdp, r)
 
 
 class TestSoftValueIteration:
@@ -142,6 +182,12 @@ class TestSoftValueIteration:
         lse = 0.5 * np.log(np.exp(soft.q / 0.5).sum(axis=1))
         assert soft.v == pytest.approx(lse, abs=1e-8)
 
+    def test_sweep_cap_raises_solver_error(self, rng, monkeypatch):
+        monkeypatch.setattr(mdp_module, "MAX_SOFT_SWEEPS", 1)
+        mdp = random_mdp(3, 2, 0.8, rng)
+        with pytest.raises(SolverError):
+            soft_value_iteration(mdp, RewardTable(rng.normal(size=(3, 2))), lam=1.0)
+
 
 class TestPolicyEvaluation:
     def test_one_state_mixture(self):
@@ -168,7 +214,7 @@ class TestPolicyEvaluation:
     def test_greedy_policy_reproduces_optimal_value(self, rng):
         mdp = random_mdp(5, 3, 0.9, rng)
         r = RewardTable(rng.normal(size=(5, 3)))
-        vf = value_iteration(mdp, r, tol=1e-10)
+        vf = value_iteration(mdp, r)
         revalued = policy_evaluation(mdp, greedy_policy(vf), r)
         assert revalued.v == pytest.approx(vf.v, abs=2e-10 / 0.1)
 
