@@ -6,16 +6,20 @@ suite studies: a deterministic walk that moves right and stops, and a
 stochastic drift on a two-row band.  Rerunning this script is idempotent.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from rewardcentroids.gridworld import DOWN, NUM_GRID_ACTIONS, RIGHT, STAY, UP
-from rewardcentroids.mdp import PolicyTable
-from rewardcentroids.serialization import save_policy
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed copy
+
+from rewardcentroids.gridworld import DOWN, NUM_GRID_ACTIONS, RIGHT, STAY, UP  # noqa: E402
+from rewardcentroids.mdp import PolicyTable  # noqa: E402
+from rewardcentroids.serialization import save_policy  # noqa: E402
 
 WIDTH = HEIGHT = 10
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DIR = ROOT / "configs"
 
 
 def cell(x: int, y: int) -> int:

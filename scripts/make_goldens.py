@@ -14,9 +14,11 @@ import sys
 import time
 from pathlib import Path
 
-from rewardcentroids.gridworld import run_scenario
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed copy
+
+from rewardcentroids.gridworld import run_scenario  # noqa: E402
+
 CONFIGS = ROOT / "configs"
 GOLDENS = ROOT / "goldens"
 

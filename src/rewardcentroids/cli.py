@@ -18,7 +18,7 @@ from .centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_op
 from .errors import DomainError
 from .estimators import estimate_birl, estimate_mce, estimate_opt, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, eta_birl, eta_mce
-from .gridworld import build_gridworld, run_scenario, spec_from_dict
+from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp
 from .planning import mimic_policy, plan_constrained, plan_unconstrained
 from . import serialization as ser
@@ -309,11 +309,13 @@ def _cmd_geometry(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _load_spec(path) -> GridworldSpec:
+    return ser._load_json(path, lambda doc: spec_from_dict(doc, base_dir=Path(path).parent))
+
+
 def _cmd_gridworld(args) -> int:
     if args.mode == "build":
-        with open(args.spec) as fh:
-            spec = spec_from_dict(json.load(fh), base_dir=Path(args.spec).parent)
-        mdp, constraint = build_gridworld(spec)
+        mdp, constraint = build_gridworld(_load_spec(args.spec))
         out_dir = Path(args.out_dir)
         ser.save_mdp(mdp, out_dir / "mdp.json")
         if constraint is not None:
@@ -325,12 +327,8 @@ def _cmd_gridworld(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    with open(args.spec) as fh:
-        spec = spec_from_dict(json.load(fh), base_dir=Path(args.spec).parent)
-    occupancy = None
-    if args.occupancy:
-        with open(args.occupancy) as fh:
-            occupancy = OccupancyMeasure(np.asarray(json.load(fh)["d"], dtype=float))
+    spec = _load_spec(args.spec)
+    occupancy = ser._load_json(args.occupancy, lambda doc: OccupancyMeasure(doc["d"])) if args.occupancy else None
     policy = ser.load_policy(args.policy) if args.policy else None
     support = ser.load_support(args.support) if args.support else None
     from .render import render_grid_svg

@@ -11,5 +11,5 @@ class InfeasibleConstraintError(DomainError):
 
 class SolverError(DomainError):
     """A solver stopped abnormally: an LP iteration limit or unexpected status,
-    or the step cap of policy iteration or soft value iteration.
+    or the step cap (MAX_POLICY_ITERATIONS) of hard or soft policy iteration.
     """

@@ -15,7 +15,6 @@ are byte-deterministic given the config and seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from .planning import (
     plan_unconstrained,
 )
 from .render import render_grid_svg
-from .serialization import constraint_from_dict, load_policy, write_report
+from .serialization import _load_json, constraint_from_dict, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = 5
@@ -90,9 +89,6 @@ class GridworldSpec:
 
     def state_index(self, x: int, y: int) -> int:
         return y * self.width + x
-
-    def cell_of(self, s: int) -> tuple[int, int]:
-        return s % self.width, s // self.width
 
 
 def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
@@ -215,8 +211,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     """
     config_path = Path(config_path)
     out_dir = Path(out_dir)
-    with open(config_path) as fh:
-        config = json.load(fh)
+    config = _load_json(config_path)
 
     source_spec = spec_from_dict(config["gridworld"], base_dir=config_path.parent)
     target_doc = dict(config["gridworld"])

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centroids import CentroidRequest, enumerate_extensions
 from .errors import DomainError
 from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box
 from .mdp import PolicyTable, RewardTable, TabularMdp
 
 CHUNK = 1 << 17
 MAX_ENUMERATED_POLICIES = 4096
+BOUNDED_SET_TOL = 1e-9  # slack of _bounded_opt_mask's optimality and bound tests
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,9 @@ class _PolicyEvaluator:
         self.gap_map[prescribed] = 0.0
         self.k_pi = float(np.exp(-np.linalg.slogdet(w)[1] / S))
 
-    def optimal_mask(self, rewards: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def optimal_mask(self, rewards: np.ndarray) -> np.ndarray:
         r = rewards.reshape(rewards.shape[0], -1).T
-        return (self.gap_map @ r).max(axis=0) <= tol
+        return (self.gap_map @ r).max(axis=0) <= 0.0
 
 
 def _evaluators_for_all_policies(mdp: TabularMdp) -> list[_PolicyEvaluator]:
@@ -95,7 +97,6 @@ def _bounded_opt_mask(
     rewards: np.ndarray,
     c1: float,
     c2: float,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Membership in the bounded OPT set, enumerating every deterministic policy."""
     n = rewards.shape[0]
@@ -104,9 +105,9 @@ def _bounded_opt_mask(
     any_optimal = np.zeros(n, dtype=bool)
     for ev in evaluators:
         gap = ev.gap_map @ r
-        optimal = gap.max(axis=0) <= tol
-        bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + tol
-        bounded &= np.abs(gap).max(axis=0) <= c2 + tol
+        optimal = gap.max(axis=0) <= BOUNDED_SET_TOL
+        bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + BOUNDED_SET_TOL
+        bounded &= np.abs(gap).max(axis=0) <= c2 + BOUNDED_SET_TOL
         violated |= optimal & ~bounded
         any_optimal |= optimal
     return any_optimal & ~violated
@@ -116,20 +117,13 @@ def _extension_evaluators(
     mdp: TabularMdp, expert: PolicyTable, support: frozenset[int] | set[int]
 ) -> list[_PolicyEvaluator]:
     """Evaluators for every deterministic completion of the expert off its support."""
-    rows = sorted(int(s) for s in support)
-    if rows and np.any((expert.probs[rows] == 1.0).sum(axis=1) != 1):
-        raise DomainError("expert must be deterministic on the support")
-    base = expert.actions()
-    off = sorted(set(range(mdp.num_states)) - set(rows))
-    if mdp.num_actions ** len(off) > MAX_ENUMERATED_POLICIES:
+    req = CentroidRequest(expert, support, BehaviorModel.opt(), mdp.num_actions)
+    if mdp.num_actions ** (req.num_states - len(req.support)) > MAX_ENUMERATED_POLICIES:
         raise DomainError("too many expert extensions to enumerate")
-    evaluators = []
-    for combo in itertools.product(range(mdp.num_actions), repeat=len(off)):
-        actions = base.copy()
-        for s, a in zip(off, combo):
-            actions[s] = a
-        evaluators.append(_PolicyEvaluator(mdp, actions))
-    return evaluators
+    off, extensions = enumerate_extensions(req)
+    actions = np.tile(expert.actions(), (len(extensions), 1))
+    actions[:, off] = extensions
+    return [_PolicyEvaluator(mdp, row) for row in actions]
 
 
 def mc_volume_fraction(
@@ -140,7 +134,6 @@ def mc_volume_fraction(
     n: int,
     seed: int,
     params: BoundedSetParams | None = None,
-    tol: float = 0.0,
 ) -> McEstimate:
     """Fraction of a uniform sample of the box that makes the policy optimal.
 
@@ -164,7 +157,7 @@ def mc_volume_fraction(
     for i, size in enumerate(_chunk_sizes(n)):
         rng = _chunk_rng(seed, i)
         rewards = rng.uniform(lo, hi, size=(size, S, A))
-        mask = target.optimal_mask(rewards, tol)
+        mask = target.optimal_mask(rewards)
         if params is not None:
             mask &= _bounded_opt_mask(evaluators, rewards, params.c1, params.c2)
         accepted += int(mask.sum())

@@ -2,9 +2,9 @@
 
 The environment is a tuple (states, actions, initial state, transition
 tensor, discount).  Everything downstream (feasible-set geometry, centroids,
-planning) is built on the operations here: the exact optimum by policy
-iteration, soft value iteration, policy evaluation as a dense linear solve,
-occupancy measures from the flow equations, reachability, and the per-policy
+planning) is built on the operations here: the exact and the soft optimum by
+(soft) policy iteration, policy evaluation as a dense linear solve, occupancy
+measures from the flow equations, reachability, and the per-policy
 normalizer derived from det(I - gamma * P_pi).
 """
 
@@ -19,7 +19,6 @@ from .errors import DomainError, SolverError
 ROW_SUM_ATOL = 1e-12
 GREEDY_RTOL = 1e-9  # q ties: q >= max q - GREEDY_RTOL * (1 + |max q|)
 MAX_POLICY_ITERATIONS = 1000
-MAX_SOFT_SWEEPS = 1_000_000  # gamma = 0.9999 needs about 330k sweeps
 
 
 def _as_readonly(a, shape, name: str) -> np.ndarray:
@@ -205,36 +204,40 @@ def value_iteration(mdp: TabularMdp, r: RewardTable) -> ValueFunctions:
     raise SolverError(f"policy iteration did not stop within {MAX_POLICY_ITERATIONS} steps")
 
 
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1)
-    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+def _log_softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (log softmax(x), logsumexp(x)), both shifted by the row maximum.
+
+    With z = x - max x the log-policy is z - log sum exp z, whose exp sums to
+    1 within rounding; x - logsumexp(x) leaves row sums off by ~1e-13.
+    """
+    m = x.max(axis=1, keepdims=True)
+    z = x - m
+    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z - log_norm, (m + log_norm)[:, 0]
 
 
-def soft_value_iteration(
-    mdp: TabularMdp, r: RewardTable, lam: float, tol: float = 1e-10
-) -> SoftValueFunctions:
-    """Entropy-regularized optimality fixed point, v = lam * logsumexp(q / lam)."""
+def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> SoftValueFunctions:
+    """Entropy-regularized optimality fixed point, v = lam * logsumexp(q / lam).
+
+    Soft policy iteration, Newton's method on the soft Bellman equation
+    (Puterman & Brumelle 1979; Geist et al. 2019): from pi = softmax(r / lam),
+    evaluate pi exactly on the reward r - lam log pi, take q = r + gamma P v
+    and improve to pi = softmax(q / lam).  It stops once the soft backup moves
+    v by no more than the solve's rounding level, 4 S eps (1 + max |v|).
+    """
     if lam <= 0:
         raise DomainError("lam must be positive")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     _check_shape(mdp, r.values, "reward")
-    gamma = mdp.discount
-    v = np.zeros(mdp.num_states)
-    if gamma > 0:
-        stop = tol * (1.0 - gamma) / (2.0 * gamma)
-        for _ in range(MAX_SOFT_SWEEPS):
-            q = r.values + gamma * expected_next_values(mdp, v)
-            v_new = lam * _logsumexp_rows(q / lam)
-            delta = np.abs(v_new - v).max()
-            v = v_new
-            if delta <= stop:
-                break
-        else:
-            raise SolverError(f"soft value iteration did not stop within {MAX_SOFT_SWEEPS} sweeps")
-    q = r.values + gamma * expected_next_values(mdp, v)
-    v = lam * _logsumexp_rows(q / lam)
-    return SoftValueFunctions(v=v, q=q, advantage=q - v[:, None], lam=lam)
+    stop = 4.0 * mdp.num_states * np.finfo(float).eps
+    log_pi, _ = _log_softmax_rows(r.values / lam)
+    for _ in range(MAX_POLICY_ITERATIONS):
+        vf = policy_evaluation(mdp, PolicyTable(np.exp(log_pi)), RewardTable(r.values - lam * log_pi))
+        q = vf.q + lam * log_pi
+        log_pi, log_norm = _log_softmax_rows(q / lam)
+        v = lam * log_norm
+        if np.abs(v - vf.v).max() <= stop * (1.0 + np.abs(v).max()):
+            return SoftValueFunctions(v=v, q=q, advantage=q - v[:, None], lam=lam)
+    raise SolverError(f"soft policy iteration did not stop within {MAX_POLICY_ITERATIONS} steps")
 
 
 def transition_matrix(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
@@ -297,10 +300,8 @@ def boltzmann_policy(q: np.ndarray, temperature: float) -> PolicyTable:
     """Row-wise softmax of q / temperature, overflow-safe."""
     if temperature <= 0:
         raise DomainError("temperature must be positive")
-    scaled = np.asarray(q, dtype=float) / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    expq = np.exp(scaled)
-    return PolicyTable(expq / expq.sum(axis=1, keepdims=True))
+    log_pi, _ = _log_softmax_rows(np.asarray(q, dtype=float) / temperature)
+    return PolicyTable(np.exp(log_pi))
 
 
 def soft_optimal_policy(soft: SoftValueFunctions) -> PolicyTable:

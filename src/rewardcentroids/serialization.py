@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,21 @@ from .planning import ConstraintSpec
 from .estimators import TrajectoryDataset
 
 
-def _load_json(path) -> dict:
+@contextmanager
+def _reading(path):
+    """Any failure to read or convert the file at path, as a DomainError naming it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read JSON from {path}: {exc}") from exc
+        yield
+    except DomainError:
+        raise
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_json(path, convert=lambda doc: doc):
+    """The JSON document at path, passed through convert under _reading."""
+    with _reading(path), open(path) as fh:
+        return convert(json.load(fh))
 
 
 def _dump_json(obj, path) -> None:
@@ -55,7 +65,7 @@ def mdp_from_dict(doc: dict) -> TabularMdp:
 
 
 def load_mdp(path) -> TabularMdp:
-    return mdp_from_dict(_load_json(path))
+    return _load_json(path, mdp_from_dict)
 
 
 def save_mdp(mdp: TabularMdp, path) -> None:
@@ -71,7 +81,7 @@ def reward_from_dict(doc: dict) -> RewardTable:
 
 
 def load_reward(path) -> RewardTable:
-    return reward_from_dict(_load_json(path))
+    return _load_json(path, reward_from_dict)
 
 
 def save_reward(r: RewardTable, path) -> None:
@@ -90,7 +100,7 @@ def policy_from_dict(doc: dict) -> PolicyTable:
 
 
 def load_policy(path) -> PolicyTable:
-    return policy_from_dict(_load_json(path))
+    return _load_json(path, policy_from_dict)
 
 
 def save_policy(policy: PolicyTable, path) -> None:
@@ -109,7 +119,7 @@ def constraint_from_dict(doc: dict) -> ConstraintSpec:
 
 
 def load_constraint(path) -> ConstraintSpec:
-    return constraint_from_dict(_load_json(path))
+    return _load_json(path, constraint_from_dict)
 
 
 def save_constraint(spec: ConstraintSpec, path) -> None:
@@ -117,8 +127,9 @@ def save_constraint(spec: ConstraintSpec, path) -> None:
 
 
 def load_support(path) -> frozenset[int]:
-    doc = _load_json(path)
-    return frozenset(int(s) for s in _require(doc, "states", "support document"))
+    return _load_json(
+        path, lambda doc: frozenset(int(s) for s in _require(doc, "states", "support document"))
+    )
 
 
 def save_support(states, path) -> None:
@@ -147,7 +158,7 @@ def save_trajectories(data: TrajectoryDataset, path) -> None:
 
 def load_trajectories(path) -> TrajectoryDataset:
     states, actions = [], []
-    try:
+    with _reading(path):
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -156,14 +167,12 @@ def load_trajectories(path) -> TrajectoryDataset:
                 doc = json.loads(line)
                 states.append(_require(doc, "states", f"trajectory line {line_no}"))
                 actions.append(_require(doc, "actions", f"trajectory line {line_no}"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read trajectories from {path}: {exc}") from exc
-    if not states:
-        raise DomainError(f"no trajectories in {path}")
-    lengths = {len(s) for s in states} | {len(a) for a in actions}
-    if len(lengths) != 1:
-        raise DomainError("all trajectories must share one length")
-    return TrajectoryDataset(states=np.asarray(states), actions=np.asarray(actions))
+        if not states:
+            raise DomainError(f"no trajectories in {path}")
+        lengths = {len(s) for s in states} | {len(a) for a in actions}
+        if len(lengths) != 1:
+            raise DomainError("all trajectories must share one length")
+        return TrajectoryDataset(states=np.asarray(states), actions=np.asarray(actions))
 
 
 REPORT_DECIMALS = 10

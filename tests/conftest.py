@@ -19,6 +19,24 @@ def enumerate_optimal_values(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
     return best
 
 
+def soft_values_by_sweeps(
+    mdp: TabularMdp, reward: np.ndarray, lam: float, tol: float = 1e-12
+) -> np.ndarray:
+    """Reference soft optimum: v <- lam * logsumexp((r + gamma P v) / lam) until
+    successive sweeps differ by at most tol * (1 - gamma) / (2 * gamma)."""
+    gamma = mdp.discount
+    stop = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else np.inf
+    v = np.zeros(mdp.num_states)
+    while True:
+        x = (reward + gamma * mdp.transitions @ v) / lam
+        m = x.max(axis=1)
+        v_new = lam * (m + np.log(np.exp(x - m[:, None]).sum(axis=1)))
+        delta = np.abs(v_new - v).max()
+        v = v_new
+        if delta <= stop:
+            return v
+
+
 def one_state_mdp(gamma: float = 0.9, num_actions: int = 2) -> TabularMdp:
     return TabularMdp(1, num_actions, 0, np.ones((1, num_actions, 1)), gamma)
 

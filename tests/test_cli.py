@@ -174,3 +174,32 @@ def test_gridworld_build_and_render(tmp_path, capsys):
         "--out", str(out_svg),
     ]) == 0
     assert out_svg.read_text().startswith("<?xml")
+
+
+MALFORMED_SPEC = {"height": 2, "initial_cell": [0, 0], "gamma": 0.5}  # no "width"
+MALFORMED_MDP = {"num_states": "x", "num_actions": 2, "initial_state": 0,
+                 "transitions": [[[1.0], [1.0]]], "gamma": 0.5}
+
+
+@pytest.mark.parametrize(
+    "name, content, command",
+    [
+        ("s.json", json.dumps(MALFORMED_SPEC), ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
+        ("s.json", json.dumps(MALFORMED_SPEC), ["render", "--spec", "{path}", "--out", "{dir}/g.svg"]),
+        ("absent.json", None, ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
+        ("absent.json", None, ["render", "--spec", "{path}", "--out", "{dir}/g.svg"]),
+        ("absent.json", None, ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("t.jsonl", '{"states": 5, "actions": 3}\n',
+         ["estimate", "--model", "opt", "--data", "{path}", "--num-states", "2", "--num-actions", "2"]),
+        ("m.json", json.dumps(MALFORMED_MDP), ["plan", "--mdp", "{path}", "--reward", "{path}"]),
+    ],
+)
+def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content, command):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    argv = [arg.format(path=path, dir=tmp_path) for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err

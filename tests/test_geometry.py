@@ -109,7 +109,7 @@ class TestOperators:
             lam = 0.8
             v = rng.normal(size=3)
             r = u_operator(mdp, eta_mce(policy, lam), v)
-            soft = soft_value_iteration(mdp, r, lam, tol=1e-12)
+            soft = soft_value_iteration(mdp, r, lam)
             assert soft.v == pytest.approx(v, abs=1e-7)
             assert soft.advantage == pytest.approx(lam * np.log(policy.probs), abs=1e-7)
 

@@ -26,7 +26,7 @@ from rewardcentroids.mdp import (
 )
 from rewardcentroids.planning import plan_unconstrained
 
-from conftest import det_policy, enumerate_optimal_values, one_state_mdp
+from conftest import det_policy, enumerate_optimal_values, one_state_mdp, soft_values_by_sweeps
 
 
 class TestTypes:
@@ -183,10 +183,43 @@ class TestSoftValueIteration:
         assert soft.v == pytest.approx(lse, abs=1e-8)
 
     def test_sweep_cap_raises_solver_error(self, rng, monkeypatch):
-        monkeypatch.setattr(mdp_module, "MAX_SOFT_SWEEPS", 1)
+        monkeypatch.setattr(mdp_module, "MAX_POLICY_ITERATIONS", 1)
         mdp = random_mdp(3, 2, 0.8, rng)
         with pytest.raises(SolverError):
             soft_value_iteration(mdp, RewardTable(rng.normal(size=(3, 2))), lam=1.0)
+
+    def test_returns_at_discount_where_sweeps_stalled(self, rng):
+        # Sweeps stopping on tol * (1 - gamma) / (2 * gamma) never returned here:
+        # that step sits below the float spacing of v (|v| ~ 1e5).
+        mdp = random_mdp(4, 3, 0.99999, rng)
+        r = rng.normal(size=(4, 3))
+        soft = soft_value_iteration(mdp, RewardTable(r), lam=1.0)
+        scale = 1e-9 * (1.0 + np.abs(soft.v).max())
+        top = soft.q.max(axis=1)
+        lse = top + np.log(np.exp(soft.q - top[:, None]).sum(axis=1))
+        assert np.abs(soft.v - lse).max() <= scale
+        assert np.abs(soft.q - r - 0.99999 * mdp.transitions @ soft.v).max() <= scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_states=st.integers(1, 4),
+        num_actions=st.integers(2, 3),
+        gamma=st.floats(0.0, 0.999999),
+        lam=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_between_hard_optimum_and_entropy_bound(self, num_states, num_actions, gamma, lam, seed):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(num_states, num_actions, gamma, rng)
+        r = rng.normal(size=(num_states, num_actions))
+        best = enumerate_optimal_values(mdp, r)
+        slack = 1e-9 * (1.0 + np.abs(best).max()) / (1.0 - gamma)
+        v = soft_value_iteration(mdp, RewardTable(r), lam).v
+        assert np.all(v >= best - slack)
+        assert np.all(v <= best + lam * np.log(num_actions) / (1.0 - gamma) + slack)
+        if gamma <= 0.95:
+            reference = soft_values_by_sweeps(mdp, r, lam)
+            assert np.abs(v - reference).max() <= 1e-9 * (1.0 + np.abs(v).max())
 
 
 class TestPolicyEvaluation:
