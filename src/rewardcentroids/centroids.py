@@ -2,8 +2,9 @@
 
 Centroids are reported after rescaling (alpha * r + beta with alpha > 0),
 which leaves the induced policy ranking unchanged.  OPT centroids indicate
-the expert's actions on visited states and flatten to 1/A elsewhere; the MCE
-and BIRL centroids are log-policy tables.
+the expert's actions on visited states and flatten to 1/A elsewhere
+(`opt_table`); the MCE and BIRL centroids are `geometry.log_policy` tables.
+The offline estimators apply the same two functions to the trajectories.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BIRL, MCE, OPT, BehaviorModel
+from .geometry import BIRL, MCE, OPT, BehaviorModel, log_policy
 from .mdp import PolicyTable, RewardTable
 
 
@@ -51,32 +52,35 @@ class CentroidRequest:
         return self.expert.probs.shape[0]
 
 
+def opt_table(visited_pairs: np.ndarray) -> RewardTable:
+    """1 on visited pairs, 0 on the other actions of visited states, 1/A on unvisited states."""
+    values = visited_pairs.astype(float)
+    values[~visited_pairs.any(axis=1)] = 1.0 / visited_pairs.shape[1]
+    return RewardTable(values)
+
+
 def centroid_opt(req: CentroidRequest) -> RewardTable:
-    """1 on the expert's visited actions, 0 on visited states otherwise, 1/A off support."""
+    """The OPT table of the pairs (s, expert action) over the support."""
     if req.model.kind != OPT:
         raise DomainError("centroid_opt requires an OPT request")
-    S, A = req.num_states, req.num_actions
-    values = np.full((S, A), 1.0 / A)
-    actions = req.expert.actions()
-    for s in req.support:
-        values[s, :] = 0.0
-        values[s, actions[s]] = 1.0
-    return RewardTable(values)
+    rows = sorted(req.support)
+    visited = np.zeros((req.num_states, req.num_actions), dtype=bool)
+    visited[rows, req.expert.actions()[rows]] = True
+    return opt_table(visited)
 
 
 def centroid_mce(req: CentroidRequest) -> RewardTable:
     """Elementwise natural log of the expert probabilities."""
     if req.model.kind != MCE:
         raise DomainError("centroid_mce requires an MCE request")
-    return RewardTable(np.log(req.expert.probs))
+    return RewardTable(log_policy(req.expert.probs, MCE))
 
 
 def centroid_birl(req: CentroidRequest) -> RewardTable:
     """Row-wise max-normalized log table; each row's maximum entry is 0."""
     if req.model.kind != BIRL:
         raise DomainError("centroid_birl requires a BIRL request")
-    probs = req.expert.probs
-    return RewardTable(np.log(probs) - np.log(probs.max(axis=1, keepdims=True)))
+    return RewardTable(log_policy(req.expert.probs, BIRL))
 
 
 def prior_centroid_opt(num_states: int, num_actions: int) -> RewardTable:

@@ -16,7 +16,7 @@ import numpy as np
 from . import mclab
 from .centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_opt, constant_fit, affine_fit
 from .errors import DomainError
-from .estimators import estimate_birl, estimate_mce, estimate_opt, simulate_expert
+from .estimators import DEFAULT_PI_MIN_PRIME, estimate_birl, estimate_mce, estimate_opt, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp
@@ -66,9 +66,9 @@ def _cmd_estimate(args) -> int:
     if args.model == OPT:
         table = estimate_opt(data, dims)
     elif args.model == MCE:
-        table = estimate_mce(data, dims, args.pi_min_prime, count_all=args.count_all)
+        table = estimate_mce(data, dims, args.pi_min_prime)
     else:
-        table = estimate_birl(data, dims, args.pi_min_prime, count_all=args.count_all)
+        table = estimate_birl(data, dims, args.pi_min_prime)
     _emit(ser.reward_to_dict(table), args.out)
     return 0
 
@@ -361,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--num-states", type=int, required=True)
     p.add_argument("--num-actions", type=int, required=True)
-    p.add_argument("--pi-min-prime", type=float, default=1e-6)
-    p.add_argument("--count-all", action="store_true")
+    p.add_argument("--pi-min-prime", type=float, default=DEFAULT_PI_MIN_PRIME)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 

@@ -1,9 +1,13 @@
 """Offline centroid estimation from expert trajectories.
 
-The OPT estimator only needs the visited states and pairs; MCE and BIRL
+Each estimate is the closed-form centroid applied to what the trajectories
+show.  OPT is `centroids.opt_table` of the visited pairs.  MCE and BIRL
 estimate the expert policy from first-visit counts, clip it at a floor
-pi_min_prime to keep the logs finite, and take logarithms.  Sample-size
-requirements for each estimator are available in closed form.
+pi_min_prime to keep the logs finite, and take `geometry.log_policy`; rows
+of unvisited states are log(pi_min_prime).  The exact estimates (the
+infinite-data limits) run the same clip-and-log step on the expert's own
+probabilities over its support.  Sample-size requirements for each
+estimator are available in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centroids import opt_table
 from .errors import DomainError
+from .geometry import BIRL, MCE, log_policy
 from .mdp import (
     PolicyTable,
     RewardTable,
@@ -117,26 +123,21 @@ def simulate_expert(
     return TrajectoryDataset(states=states, actions=actions)
 
 
-def first_visit_counts(
-    data: TrajectoryDataset, dims: tuple[int, int], count_all: bool = False
-) -> VisitCounts:
+def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitCounts:
     """Action counts at the first visit of each state per trajectory.
 
-    With count_all=True every occurrence is counted instead; the estimators
-    accept both modes, but the analysis holds for first visits.
+    Later visits within a trajectory are not counted: the estimators'
+    analysis holds for first visits only.
     """
     S, A = _check_dims(data, dims)
     nsa = np.zeros((S, A), dtype=np.int64)
-    if count_all:
-        np.add.at(nsa, (data.states.ravel(), data.actions.ravel()), 1)
-    else:
-        visited = np.zeros((data.num_trajectories, S), dtype=bool)
-        rows = np.arange(data.num_trajectories)
-        for t in range(data.horizon):
-            s_t = data.states[:, t]
-            fresh = ~visited[rows, s_t]
-            np.add.at(nsa, (s_t[fresh], data.actions[fresh, t]), 1)
-            visited[rows, s_t] = True
+    visited = np.zeros((data.num_trajectories, S), dtype=bool)
+    rows = np.arange(data.num_trajectories)
+    for t in range(data.horizon):
+        s_t = data.states[:, t]
+        fresh = ~visited[rows, s_t]
+        np.add.at(nsa, (s_t[fresh], data.actions[fresh, t]), 1)
+        visited[rows, s_t] = True
     return VisitCounts(nsa=nsa, ns=nsa.sum(axis=1))
 
 
@@ -145,23 +146,7 @@ def estimate_opt(data: TrajectoryDataset, dims: tuple[int, int]) -> RewardTable:
     S, A = _check_dims(data, dims)
     visited_pair = np.zeros((S, A), dtype=bool)
     visited_pair[data.states.ravel(), data.actions.ravel()] = True
-    values = np.zeros((S, A))
-    values[visited_pair] = 1.0
-    unvisited = ~visited_pair.any(axis=1)
-    values[unvisited, :] = 1.0 / A
-    return RewardTable(values)
-
-
-def _clipped_policy(counts: VisitCounts, pi_min_prime: float) -> np.ndarray:
-    freq = counts.nsa / np.maximum(1, counts.ns)[:, None]
-    observed_low = (counts.nsa > 0) & (freq < pi_min_prime)
-    if np.any(observed_low):
-        warnings.warn(
-            "observed action frequencies below pi_min_prime; the estimation "
-            "guarantee assumes the true policy stays above the floor",
-            stacklevel=3,
-        )
-    return np.maximum(pi_min_prime, freq)
+    return opt_table(visited_pair)
 
 
 def _check_pi_min_prime(pi_min_prime: float) -> None:
@@ -172,59 +157,61 @@ def _check_pi_min_prime(pi_min_prime: float) -> None:
 DEFAULT_PI_MIN_PRIME = 1e-6
 
 
+def _clipped_log(probs: np.ndarray, visited: np.ndarray, pi_min_prime: float, kind: str) -> RewardTable:
+    """log_policy of probs clipped at pi_min_prime; unvisited states' rows are log(pi_min_prime)."""
+    values = log_policy(np.maximum(pi_min_prime, probs), kind)
+    values[~visited] = np.log(pi_min_prime)
+    return RewardTable(values)
+
+
+def _estimate_log(
+    data: TrajectoryDataset, dims: tuple[int, int], pi_min_prime: float, kind: str
+) -> RewardTable:
+    _check_pi_min_prime(pi_min_prime)
+    counts = first_visit_counts(data, dims)
+    freq = counts.nsa / np.maximum(1, counts.ns)[:, None]
+    if np.any((counts.nsa > 0) & (freq < pi_min_prime)):
+        warnings.warn(
+            "observed action frequencies below pi_min_prime; the estimation "
+            "guarantee assumes the true policy stays above the floor",
+            stacklevel=3,
+        )
+    return _clipped_log(freq, counts.ns > 0, pi_min_prime, kind)
+
+
 def estimate_mce(
-    data: TrajectoryDataset,
-    dims: tuple[int, int],
-    pi_min_prime: float = DEFAULT_PI_MIN_PRIME,
-    count_all: bool = False,
+    data: TrajectoryDataset, dims: tuple[int, int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
 ) -> RewardTable:
     """Log of the clipped empirical policy."""
-    _check_pi_min_prime(pi_min_prime)
-    counts = first_visit_counts(data, dims, count_all=count_all)
-    return RewardTable(np.log(_clipped_policy(counts, pi_min_prime)))
+    return _estimate_log(data, dims, pi_min_prime, MCE)
 
 
 def estimate_birl(
-    data: TrajectoryDataset,
-    dims: tuple[int, int],
-    pi_min_prime: float = DEFAULT_PI_MIN_PRIME,
-    count_all: bool = False,
+    data: TrajectoryDataset, dims: tuple[int, int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
 ) -> RewardTable:
-    """Row-max-normalized log of the clipped empirical policy.
+    """Row-max-normalized log of the clipped empirical policy."""
+    return _estimate_log(data, dims, pi_min_prime, BIRL)
 
-    Rows of never-visited states are set to log(pi_min_prime) wholesale.
-    """
+
+def _exact_log(expert: PolicyTable, support, pi_min_prime: float, kind: str) -> RewardTable:
     _check_pi_min_prime(pi_min_prime)
-    counts = first_visit_counts(data, dims, count_all=count_all)
-    pi_hat = _clipped_policy(counts, pi_min_prime)
-    values = np.log(pi_hat) - np.log(pi_hat.max(axis=1, keepdims=True))
-    values[counts.ns == 0, :] = np.log(pi_min_prime)
-    return RewardTable(values)
+    visited = np.zeros(expert.probs.shape[0], dtype=bool)
+    visited[sorted(int(s) for s in support)] = True
+    return _clipped_log(expert.probs, visited, pi_min_prime, kind)
 
 
 def exact_estimate_mce(
     expert: PolicyTable, support: frozenset[int] | set[int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
 ) -> RewardTable:
     """Infinite-data limit of the MCE estimator for a known expert."""
-    _check_pi_min_prime(pi_min_prime)
-    S, A = expert.probs.shape
-    values = np.full((S, A), np.log(pi_min_prime))
-    rows = sorted(int(s) for s in support)
-    values[rows] = np.log(np.maximum(pi_min_prime, expert.probs[rows]))
-    return RewardTable(values)
+    return _exact_log(expert, support, pi_min_prime, MCE)
 
 
 def exact_estimate_birl(
     expert: PolicyTable, support: frozenset[int] | set[int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
 ) -> RewardTable:
     """Infinite-data limit of the BIRL estimator for a known expert."""
-    _check_pi_min_prime(pi_min_prime)
-    S, A = expert.probs.shape
-    values = np.full((S, A), np.log(pi_min_prime))
-    rows = sorted(int(s) for s in support)
-    clipped = np.maximum(pi_min_prime, expert.probs[rows])
-    values[rows] = np.log(clipped) - np.log(clipped.max(axis=1, keepdims=True))
-    return RewardTable(values)
+    return _exact_log(expert, support, pi_min_prime, BIRL)
 
 
 def p_min_h(mdp: TabularMdp, expert: PolicyTable, h: int) -> float:

@@ -180,20 +180,24 @@ def _require_positive_rows(policy: PolicyTable) -> np.ndarray:
     return policy.probs
 
 
+def log_policy(probs: np.ndarray, kind: str) -> np.ndarray:
+    """log pi for MCE; for BIRL log(pi / max_a' pi), whose row maxima are 0."""
+    logs = np.log(probs)
+    return logs - np.log(probs.max(axis=1, keepdims=True)) if kind == BIRL else logs
+
+
 def eta_mce(policy: PolicyTable, lam: float) -> RewardTable:
     """The soft-advantage term lam * log pi(a|s)."""
     if lam <= 0:
         raise DomainError("lam must be positive")
-    probs = _require_positive_rows(policy)
-    return RewardTable(lam * np.log(probs))
+    return RewardTable(lam * log_policy(_require_positive_rows(policy), MCE))
 
 
 def eta_birl(policy: PolicyTable, beta: float) -> RewardTable:
     """The hard-advantage term beta * log(pi(a|s) / max_a' pi(a'|s))."""
     if beta <= 0:
         raise DomainError("beta must be positive")
-    probs = _require_positive_rows(policy)
-    return RewardTable(beta * (np.log(probs) - np.log(probs.max(axis=1, keepdims=True))))
+    return RewardTable(beta * log_policy(_require_positive_rows(policy), BIRL))
 
 
 def is_feasible(

@@ -23,6 +23,7 @@ import numpy as np
 from .centroids import CentroidRequest, centroid_opt
 from .errors import DomainError
 from .estimators import (
+    DEFAULT_PI_MIN_PRIME,
     estimate_birl,
     estimate_mce,
     estimate_opt,
@@ -166,39 +167,62 @@ def _model_from_config(doc) -> BehaviorModel | None:
     raise DomainError(f"unknown behavior model {kind!r}")
 
 
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario config document, converted when it is read."""
+
+    source: GridworldSpec
+    target: GridworldSpec
+    constraint: ConstraintSpec | None
+    planner: str
+    model: BehaviorModel | None
+    estimator: tuple[int, int, float] | None  # (n, h, pi_min_prime); None is the exact limit
+    seeds: dict[str, int]
+    outputs: list[str]
+
+
+def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
+    sampled, estimator = doc.get("estimator", "exact"), None
+    if sampled != "exact":
+        pi_min_prime = float(sampled.get("pi_min_prime", DEFAULT_PI_MIN_PRIME))
+        estimator = (int(sampled["n"]), int(sampled["h"]), pi_min_prime)
+    constraint = doc.get("constraint")
+    outputs = doc.get("outputs", ["policy_svg", "report_json"])
+    if not isinstance(outputs, list):
+        raise TypeError(f"outputs must be a list of names, not {outputs!r}")
+    return _Scenario(
+        source=spec_from_dict(doc["gridworld"], base_dir=base_dir),
+        target=spec_from_dict({**doc["gridworld"], **doc.get("target", {}), "expert_policy_file": None}),
+        constraint=None if constraint is None else constraint_from_dict(constraint),
+        planner=doc.get("planner", "centroid"),
+        model=_model_from_config(doc.get("model")),
+        estimator=estimator,
+        seeds={key: int(seed) for key, seed in doc.get("seeds", {}).items()},
+        outputs=outputs,
+    )
+
+
 def _scenario_reward(
-    config: dict,
-    model: BehaviorModel,
+    scenario: _Scenario,
     source: TabularMdp,
     expert: PolicyTable,
     support: frozenset[int],
 ) -> RewardTable:
-    estimator = config.get("estimator", "exact")
-    pi_min_prime = 1e-6
-    if estimator == "exact":
+    model = scenario.model
+    if scenario.estimator is None:
         if model.kind == OPT:
-            req = CentroidRequest(
-                expert=expert,
-                support=support,
-                model=model,
-                num_actions=source.num_actions,
-            )
-            return centroid_opt(req)
+            return centroid_opt(CentroidRequest(expert, support, model, source.num_actions))
         if model.kind == MCE:
-            return exact_estimate_mce(expert, support, pi_min_prime)
-        return exact_estimate_birl(expert, support, pi_min_prime)
-    n = int(estimator["n"])
-    h = int(estimator["h"])
-    pi_min_prime = float(estimator.get("pi_min_prime", pi_min_prime))
-    count_all = bool(estimator.get("count_all", False))
-    seed = int(config.get("seeds", {}).get("simulate", 0))
-    data = simulate_expert(source, expert, n, h, seed)
+            return exact_estimate_mce(expert, support, DEFAULT_PI_MIN_PRIME)
+        return exact_estimate_birl(expert, support, DEFAULT_PI_MIN_PRIME)
+    n, h, pi_min_prime = scenario.estimator
+    data = simulate_expert(source, expert, n, h, scenario.seeds.get("simulate", 0))
     dims = (source.num_states, source.num_actions)
     if model.kind == OPT:
         return estimate_opt(data, dims)
     if model.kind == MCE:
-        return estimate_mce(data, dims, pi_min_prime, count_all=count_all)
-    return estimate_birl(data, dims, pi_min_prime, count_all=count_all)
+        return estimate_mce(data, dims, pi_min_prime)
+    return estimate_birl(data, dims, pi_min_prime)
 
 
 def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
@@ -207,23 +231,17 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     Pipeline: build the source and target grids, load the expert fixture,
     produce the planning reward (exact centroid or offline estimate), plan
     with the requested planner, then render the requested outputs under
-    out_dir with the scenario name as prefix.
+    out_dir with the scenario name as prefix.  A config that cannot be
+    converted is a DomainError naming the file.
     """
     config_path = Path(config_path)
     out_dir = Path(out_dir)
-    config = _load_json(config_path)
-
-    source_spec = spec_from_dict(config["gridworld"], base_dir=config_path.parent)
-    target_doc = dict(config["gridworld"])
-    target_doc.update(config.get("target", {}))
-    target_doc["expert_policy_file"] = None
-    target_spec = spec_from_dict(target_doc)
+    scenario = _load_json(config_path, lambda doc: _scenario_from_dict(doc, config_path.parent))
+    source_spec, target_spec = scenario.source, scenario.target
 
     source, _ = build_gridworld(source_spec)
     target, auto_constraint = build_gridworld(target_spec)
-    constraint = auto_constraint
-    if config.get("constraint") is not None:
-        constraint = constraint_from_dict(config["constraint"])
+    constraint = scenario.constraint or auto_constraint
 
     if source_spec.expert_policy_file is None:
         raise DomainError(f"scenario {name!r} needs an expert policy fixture")
@@ -232,8 +250,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
         raise DomainError("expert fixture shape does not match the grid")
     support = reachable_support(source, expert)
 
-    planner = config.get("planner", "centroid")
-    model = _model_from_config(config.get("model"))
+    planner, model = scenario.planner, scenario.model
     value: float | None
     run_spec = target_spec
     run_support = None
@@ -255,10 +272,9 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
         if planner == "centroid":
             if model is None:
                 raise DomainError("centroid planning needs a behavior model")
-            reward = _scenario_reward(config, model, source, expert, support)
+            reward = _scenario_reward(scenario, source, expert, support)
         else:
-            seed = int(config.get("seeds", {}).get("best_case", 0))
-            reward = best_case_reward(source, expert, support, seed)
+            reward = best_case_reward(source, expert, support, scenario.seeds.get("best_case", 0))
         if constraint is not None:
             plan = plan_constrained(target, reward, constraint)
             policy, occupancy, value = plan.policy, plan.occupancy, plan.value
@@ -270,7 +286,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
         raise DomainError(f"unknown planner {planner!r}")
 
     svg_paths: list[str] = []
-    outputs = config.get("outputs", ["policy_svg", "report_json"])
+    outputs = scenario.outputs
     if "policy_svg" in outputs:
         path = render_grid_svg(
             occupancy, policy, run_spec, out_dir / f"{name}_policy.svg", support=run_support

@@ -39,15 +39,56 @@ class McEstimate:
     n_accepted: int
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+def _draws(draw, n: int, seed: int):
+    """draw(rng, size) on chunks of at most CHUNK samples; chunk i uses substream i of the seed."""
+    for i, start in enumerate(range(0, n, CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        yield draw(rng, min(CHUNK, n - start))
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
-    return sizes
+def _uniform_box(mdp: TabularMdp, box: tuple[float, float]):
+    """A draw of reward tables with every entry uniform in the box."""
+    lo, hi = box
+    shape = (mdp.num_states, mdp.num_actions)
+    return lambda rng, size: rng.uniform(lo, hi, size=(size, *shape))
+
+
+def _bernoulli_fraction(draw, hit, n: int, seed: int) -> McEstimate:
+    """Share of n draws for which hit holds, with its binomial standard error."""
+    hits = sum(int(hit(rewards).sum()) for rewards in _draws(draw, n, seed))
+    mean = hits / n
+    return McEstimate(
+        mean=mean,
+        std_error=float(np.sqrt(mean * (1.0 - mean) / n)),
+        n_samples=n,
+        n_accepted=hits,
+    )
+
+
+def _accumulating_centroid(mdp: TabularMdp, draw, n: int, seed: int, accept=None) -> McEstimate:
+    """Mean of the draws that accept keeps (all of them without accept), with its standard error."""
+    S, A = mdp.num_states, mdp.num_actions
+    total = np.zeros((S, A))
+    total_sq = np.zeros((S, A))
+    accepted = 0
+    for rewards in _draws(draw, n, seed):
+        picked = rewards if accept is None else rewards[accept(rewards)]
+        accepted += picked.shape[0]
+        total += picked.sum(axis=0)
+        total_sq += (picked**2).sum(axis=0)
+    if accepted == 0:
+        nan = np.full((S, A), np.nan)
+        return McEstimate(mean=nan, std_error=nan.copy(), n_samples=n, n_accepted=0)
+    mean = total / accepted
+    var = np.maximum(total_sq / accepted - mean**2, 0.0)
+    if accepted > 1:
+        var *= accepted / (accepted - 1)
+    return McEstimate(
+        mean=mean,
+        std_error=np.sqrt(var / accepted),
+        n_samples=n,
+        n_accepted=accepted,
+    )
 
 
 class _PolicyEvaluator:
@@ -151,23 +192,14 @@ def mc_volume_fraction(
     if not policy.deterministic:
         raise DomainError("volume fractions require a deterministic policy")
     target = _PolicyEvaluator(mdp, policy.actions())
-    evaluators = _evaluators_for_all_policies(mdp) if params is not None else None
-    S, A = mdp.num_states, mdp.num_actions
-    accepted = 0
-    for i, size in enumerate(_chunk_sizes(n)):
-        rng = _chunk_rng(seed, i)
-        rewards = rng.uniform(lo, hi, size=(size, S, A))
-        mask = target.optimal_mask(rewards)
-        if params is not None:
-            mask &= _bounded_opt_mask(evaluators, rewards, params.c1, params.c2)
-        accepted += int(mask.sum())
-    mean = accepted / n
-    return McEstimate(
-        mean=mean,
-        std_error=float(np.sqrt(mean * (1.0 - mean) / n)),
-        n_samples=n,
-        n_accepted=accepted,
-    )
+    if params is None:
+        return _bernoulli_fraction(_uniform_box(mdp, box), target.optimal_mask, n, seed)
+    evaluators = _evaluators_for_all_policies(mdp)
+
+    def hit(rewards: np.ndarray) -> np.ndarray:
+        return target.optimal_mask(rewards) & _bounded_opt_mask(evaluators, rewards, params.c1, params.c2)
+
+    return _bernoulli_fraction(_uniform_box(mdp, box), hit, n, seed)
 
 
 def segment_volume_1d(
@@ -197,41 +229,6 @@ def segment_volume_1d(
     return max(0.0, float(length))
 
 
-def _accumulating_centroid(
-    mdp: TabularMdp,
-    accept_fn,
-    box: tuple[float, float],
-    n: int,
-    seed: int,
-) -> McEstimate:
-    S, A = mdp.num_states, mdp.num_actions
-    lo, hi = box
-    total = np.zeros((S, A))
-    total_sq = np.zeros((S, A))
-    accepted = 0
-    for i, size in enumerate(_chunk_sizes(n)):
-        rng = _chunk_rng(seed, i)
-        rewards = rng.uniform(lo, hi, size=(size, S, A))
-        mask = accept_fn(rewards)
-        accepted += int(mask.sum())
-        picked = rewards[mask]
-        total += picked.sum(axis=0)
-        total_sq += (picked**2).sum(axis=0)
-    if accepted == 0:
-        nan = np.full((S, A), np.nan)
-        return McEstimate(mean=nan, std_error=nan.copy(), n_samples=n, n_accepted=0)
-    mean = total / accepted
-    var = np.maximum(total_sq / accepted - mean**2, 0.0)
-    if accepted > 1:
-        var *= accepted / (accepted - 1)
-    return McEstimate(
-        mean=mean,
-        std_error=np.sqrt(var / accepted),
-        n_samples=n,
-        n_accepted=accepted,
-    )
-
-
 def mc_centroid_opt(
     mdp: TabularMdp,
     expert: PolicyTable,
@@ -256,7 +253,7 @@ def mc_centroid_opt(
         feasible = np.logical_or.reduce([ev.optimal_mask(rewards) for ev in extensions])
         return feasible & _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
 
-    return _accumulating_centroid(mdp, accept, box, n, seed)
+    return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 
 def mc_centroid_prior(
@@ -271,7 +268,7 @@ def mc_centroid_prior(
     def accept(rewards: np.ndarray) -> np.ndarray:
         return _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
 
-    return _accumulating_centroid(mdp, accept, box, n, seed)
+    return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 
 def mc_centroid_manifold(
@@ -289,25 +286,13 @@ def mc_centroid_manifold(
         raise DomainError("n must be >= 1")
     if eta.values.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("eta shape does not match the MDP")
-    S, A = mdp.num_states, mdp.num_actions
-    total = np.zeros((S, A))
-    total_sq = np.zeros((S, A))
-    for i, size in enumerate(_chunk_sizes(n)):
-        rng = _chunk_rng(seed, i)
-        v = rng.uniform(-c1, c1, size=(size, S))
-        shaped = v[:, :, None] - mdp.discount * np.einsum(
-            "sap,np->nsa", mdp.transitions, v
-        )
-        rewards = shaped + eta.values
-        total += rewards.sum(axis=0)
-        total_sq += (rewards**2).sum(axis=0)
-    mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0)
-    if n > 1:
-        var *= n / (n - 1)
-    return McEstimate(
-        mean=mean, std_error=np.sqrt(var / n), n_samples=n, n_accepted=n
-    )
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        v = rng.uniform(-c1, c1, size=(size, mdp.num_states))
+        shaped = v[:, :, None] - mdp.discount * np.einsum("sap,np->nsa", mdp.transitions, v)
+        return shaped + eta.values
+
+    return _accumulating_centroid(mdp, draw, n, seed)
 
 
 def fig_two_state_chain(gamma: float) -> TabularMdp:
@@ -359,20 +344,13 @@ def new_env_bias_ratio(c2: float, n: int, seed: int, gamma: float = 0.999) -> Mc
     target = _PolicyEvaluator(dst, np.array([0, 0]))
     src_eval = _PolicyEvaluator(src, sample_policy)
     v_halfwidth = 1.0 * src_eval.k_pi  # c1 = 1
-    hits = 0
-    for i, size in enumerate(_chunk_sizes(n)):
-        rng = _chunk_rng(seed, i)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         v = rng.uniform(-v_halfwidth, v_halfwidth, size=(size, 2))
         gaps = rng.uniform(-c2, 0.0, size=(size, 2))
-        shaped = v[:, :, None] - gamma * np.einsum("sap,np->nsa", src.transitions, v)
-        rewards = shaped.copy()
+        rewards = v[:, :, None] - gamma * np.einsum("sap,np->nsa", src.transitions, v)
         rewards[:, 0, 0] += gaps[:, 0]  # non-prescribed action in s0
         rewards[:, 1, 1] += gaps[:, 1]  # non-prescribed action in s1
-        hits += int(target.optimal_mask(rewards).sum())
-    ratio = hits / n
-    return McEstimate(
-        mean=ratio,
-        std_error=float(np.sqrt(ratio * (1.0 - ratio) / n)),
-        n_samples=n,
-        n_accepted=hits,
-    )
+        return rewards
+
+    return _bernoulli_fraction(draw, target.optimal_mask, n, seed)

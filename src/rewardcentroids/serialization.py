@@ -21,7 +21,7 @@ def _reading(path):
         yield
     except DomainError:
         raise
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,10 @@ def test_gridworld_build_and_render(tmp_path, capsys):
 MALFORMED_SPEC = {"height": 2, "initial_cell": [0, 0], "gamma": 0.5}  # no "width"
 MALFORMED_MDP = {"num_states": "x", "num_actions": 2, "initial_state": 0,
                  "transitions": [[[1.0], [1.0]]], "gamma": 0.5}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FIG2C = json.loads((CONFIGS / "fig2c.json").read_text())
+SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
+                                   "expert_policy_file": str(CONFIGS / "expert_right_stop.json")}}
 
 
 @pytest.mark.parametrize(
@@ -192,6 +197,15 @@ MALFORMED_MDP = {"num_states": "x", "num_actions": 2, "initial_state": 0,
         ("t.jsonl", '{"states": 5, "actions": 3}\n',
          ["estimate", "--model", "opt", "--data", "{path}", "--num-states", "2", "--num-actions", "2"]),
         ("m.json", json.dumps(MALFORMED_MDP), ["plan", "--mdp", "{path}", "--reward", "{path}"]),
+        ("c.json", json.dumps({"width": 2}), ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "model": {"lambda": 1.0}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "estimator": {"n": 10}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "estimator": 5}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "outputs": 5}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
     ],
 )
 def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content, command):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,13 +105,6 @@ class TestFirstVisitCounts:
         counts = first_visit_counts(data, (3, 2))
         assert counts.nsa[1].tolist() == [0, 0]
         assert counts.nsa[2].tolist() == [0, 0]
-
-    def test_count_all_mode(self):
-        data = TrajectoryDataset(states=[[0, 0, 0]], actions=[[0, 1, 1]])
-        first = first_visit_counts(data, (1, 2))
-        every = first_visit_counts(data, (1, 2), count_all=True)
-        assert first.nsa.tolist() == [[1, 0]]
-        assert every.nsa.tolist() == [[1, 2]]
 
     def test_out_of_range_rejected(self):
         data = TrajectoryDataset(states=[[5]], actions=[[0]])
@@ -221,6 +216,31 @@ class TestEstimators:
         birl = exact_estimate_birl(expert, support, 1e-6)
         assert birl.values[0] == pytest.approx([0.0, np.log(3 / 7)])
         assert birl.values[1] == pytest.approx([np.log(1e-6)] * 2)
+
+    def test_estimate_with_exact_frequencies_is_the_exact_limit(self):
+        # Four trajectories on a 3-state cycle with horizon 2: states 0 and 1
+        # are each first-visited four times, state 2 never.  The first-visit
+        # frequencies are the expert's quarters exactly, so the estimate and
+        # the infinite-data limit over the visited states must agree bit for bit.
+        expert = PolicyTable([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]])
+        data = TrajectoryDataset(
+            states=[[0, 1]] * 4,
+            actions=[[0, 0], [1, 1], [1, 0], [1, 1]],
+        )
+        support = {0, 1}
+        for pi_min_prime in (1e-6, 0.3):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                mce = estimate_mce(data, (3, 2), pi_min_prime)
+                birl = estimate_birl(data, (3, 2), pi_min_prime)
+            # the floor 0.3 clips the observed 0.25, which only the estimate path reports
+            assert len(seen) == (2 if pi_min_prime == 0.3 else 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                exact_mce = exact_estimate_mce(expert, support, pi_min_prime)
+                exact_birl = exact_estimate_birl(expert, support, pi_min_prime)
+            assert np.array_equal(mce.values, exact_mce.values)
+            assert np.array_equal(birl.values, exact_birl.values)
 
 
 class TestVisitProbability:

@@ -165,6 +165,20 @@ class TestScenario:
         for name in ("tiny_policy.svg", "tiny_occupancy.svg", "tiny_report.json"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
+    def test_sampled_estimator_reproduces_the_exact_goldens(self, tmp_path):
+        # fig2c's expert is deterministic, so one trajectory long enough to
+        # reach its fixed point visits its whole support and the sampled OPT
+        # estimate equals the exact centroid.
+        root = Path(__file__).resolve().parent.parent
+        doc = json.loads((root / "configs" / "fig2c.json").read_text())
+        doc["gridworld"]["expert_policy_file"] = str(root / "configs" / doc["gridworld"]["expert_policy_file"])
+        doc["estimator"] = {"n": 1, "h": 100}
+        config_path = tmp_path / "fig2c.json"
+        config_path.write_text(json.dumps(doc))
+        run_scenario("fig2c", config_path, tmp_path / "out")
+        for name in ("fig2c_report.json", "fig2c_policy.svg", "fig2c_occupancy.svg"):
+            assert (tmp_path / "out" / name).read_bytes() == (root / "goldens" / name).read_bytes()
+
     def test_unknown_planner_rejected(self, tmp_path):
         config_path = self.make_config(tmp_path)
         doc = json.loads(config_path.read_text())
