@@ -20,9 +20,8 @@ from .estimators import DEFAULT_PI_MIN_PRIME, estimate_birl, estimate_mce, estim
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp
-from .planning import mimic_policy, plan_constrained, plan_unconstrained
+from .planning import mimic_policy, plan
 from . import serialization as ser
-from .mdp import occupancy_measure, policy_evaluation
 
 
 def _model_from_args(args) -> BehaviorModel:
@@ -84,19 +83,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_plan(args) -> int:
     mdp = ser.load_mdp(args.mdp)
     reward = ser.load_reward(args.reward)
-    if args.constraint:
-        spec = ser.load_constraint(args.constraint)
-        plan = plan_constrained(mdp, reward, spec)
-        policy, occ, value = plan.policy, plan.occupancy, plan.value
-    else:
-        policy = plan_unconstrained(mdp, reward)
-        occ = occupancy_measure(mdp, policy)
-        value = float(policy_evaluation(mdp, policy, reward).v[mdp.initial_state])
+    constraint = ser.load_constraint(args.constraint) if args.constraint else None
+    result = plan(mdp, reward, constraint)
     _emit(
         {
-            "policy": ser.policy_to_dict(policy),
-            "occupancy": ser.occupancy_to_dict(occ),
-            "value": value,
+            "policy": ser.policy_to_dict(result.policy),
+            "occupancy": ser.occupancy_to_dict(result.occupancy),
+            "value": result.value,
         },
         args.out,
     )

@@ -20,7 +20,6 @@ from .mdp import (
     RewardTable,
     TabularMdp,
     boltzmann_policy,
-    expected_next_values,
     greedy_policy,
     k_pi,
     soft_optimal_policy,
@@ -142,6 +141,11 @@ def _require_deterministic(policy: PolicyTable, what: str) -> np.ndarray:
     return policy.actions()
 
 
+def shaping(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """The shaping map v(s) - gamma * E[v(s')|s, a] of values v (..., S), as (..., S, A)."""
+    return v[..., :, None] - mdp.discount * np.einsum("sap,...p->...sa", mdp.transitions, v)
+
+
 def t_operator(
     mdp: TabularMdp, det_policy: PolicyTable, v: np.ndarray, gaps: AdvantageGap
 ) -> RewardTable:
@@ -159,8 +163,7 @@ def t_operator(
         raise DomainError("gaps must be an S x A table")
     if np.any(gaps.values[np.arange(mdp.num_states), actions] != 0.0):
         raise DomainError("gap at the policy's action must be exactly 0")
-    shaped = v[:, None] - mdp.discount * expected_next_values(mdp, v)
-    return RewardTable(shaped + gaps.values)
+    return RewardTable(shaping(mdp, v) + gaps.values)
 
 
 def u_operator(mdp: TabularMdp, eta: RewardTable, v: np.ndarray) -> RewardTable:
@@ -170,8 +173,7 @@ def u_operator(mdp: TabularMdp, eta: RewardTable, v: np.ndarray) -> RewardTable:
         raise DomainError("v must be a length-S vector")
     if eta.values.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("eta must be an S x A table")
-    shaped = v[:, None] - mdp.discount * expected_next_values(mdp, v)
-    return RewardTable(shaped + eta.values)
+    return RewardTable(shaping(mdp, v) + eta.values)
 
 
 def _require_positive_rows(policy: PolicyTable) -> np.ndarray:

@@ -38,19 +38,11 @@ from .mdp import (
     RewardTable,
     TabularMdp,
     occupancy_measure,
-    policy_evaluation,
     reachable_support,
 )
-from .planning import (
-    ConstraintSpec,
-    bc_policy,
-    best_case_reward,
-    mimic_policy,
-    plan_constrained,
-    plan_unconstrained,
-)
+from .planning import ConstraintSpec, bc_policy, best_case_reward, mimic_policy, plan
 from .render import render_grid_svg
-from .serialization import _load_json, constraint_from_dict, load_policy, write_report
+from .serialization import _known_keys, _load_json, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = 5
@@ -92,7 +84,11 @@ class GridworldSpec:
         return y * self.width + x
 
 
+GRID_KEYS = ("width", "height", "initial_cell", "gamma", "reversed", "blocked_cells")
+
+
 def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
+    _known_keys(doc, (*GRID_KEYS, "expert_policy_file"), "grid spec")
     policy_file = doc.get("expert_policy_file")
     if policy_file is not None and base_dir is not None:
         policy_file = str((base_dir / policy_file).resolve())
@@ -159,10 +155,13 @@ def _model_from_config(doc) -> BehaviorModel | None:
         doc = {"kind": doc}
     kind = doc["kind"]
     if kind == OPT:
+        _known_keys(doc, ("kind",), "model")
         return BehaviorModel.opt()
     if kind == MCE:
+        _known_keys(doc, ("kind", "lambda"), "model")
         return BehaviorModel.mce(float(doc.get("lambda", 1.0)))
     if kind == BIRL:
+        _known_keys(doc, ("kind", "beta"), "model")
         return BehaviorModel.birl(float(doc.get("beta", 1.0)))
     raise DomainError(f"unknown behavior model {kind!r}")
 
@@ -173,7 +172,6 @@ class _Scenario:
 
     source: GridworldSpec
     target: GridworldSpec
-    constraint: ConstraintSpec | None
     planner: str
     model: BehaviorModel | None
     estimator: tuple[int, int, float] | None  # (n, h, pi_min_prime); None is the exact limit
@@ -181,24 +179,28 @@ class _Scenario:
     outputs: list[str]
 
 
+SCENARIO_KEYS = ("gridworld", "target", "planner", "model", "estimator", "seeds", "outputs")
+SEED_KEYS = ("simulate", "best_case")
+OUTPUTS = ("policy_svg", "occupancy_svg", "report_json")
+
+
 def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
+    _known_keys(doc, SCENARIO_KEYS, "scenario")
     sampled, estimator = doc.get("estimator", "exact"), None
     if sampled != "exact":
+        _known_keys(sampled, ("n", "h", "pi_min_prime"), "estimator")
         pi_min_prime = float(sampled.get("pi_min_prime", DEFAULT_PI_MIN_PRIME))
         estimator = (int(sampled["n"]), int(sampled["h"]), pi_min_prime)
-    constraint = doc.get("constraint")
-    outputs = doc.get("outputs", ["policy_svg", "report_json"])
-    if not isinstance(outputs, list):
-        raise TypeError(f"outputs must be a list of names, not {outputs!r}")
+    target = _known_keys(doc.get("target", {}), GRID_KEYS, "target")
+    seeds = _known_keys(doc.get("seeds", {}), SEED_KEYS, "seeds")
     return _Scenario(
         source=spec_from_dict(doc["gridworld"], base_dir=base_dir),
-        target=spec_from_dict({**doc["gridworld"], **doc.get("target", {}), "expert_policy_file": None}),
-        constraint=None if constraint is None else constraint_from_dict(constraint),
+        target=spec_from_dict({**doc["gridworld"], **target, "expert_policy_file": None}),
         planner=doc.get("planner", "centroid"),
         model=_model_from_config(doc.get("model")),
         estimator=estimator,
-        seeds={key: int(seed) for key, seed in doc.get("seeds", {}).items()},
-        outputs=outputs,
+        seeds={key: int(seed) for key, seed in seeds.items()},
+        outputs=_known_keys(doc.get("outputs", ["policy_svg", "report_json"]), OUTPUTS, "outputs"),
     )
 
 
@@ -240,8 +242,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     source_spec, target_spec = scenario.source, scenario.target
 
     source, _ = build_gridworld(source_spec)
-    target, auto_constraint = build_gridworld(target_spec)
-    constraint = scenario.constraint or auto_constraint
+    target, constraint = build_gridworld(target_spec)
 
     if source_spec.expert_policy_file is None:
         raise DomainError(f"scenario {name!r} needs an expert policy fixture")
@@ -275,13 +276,8 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
             reward = _scenario_reward(scenario, source, expert, support)
         else:
             reward = best_case_reward(source, expert, support, scenario.seeds.get("best_case", 0))
-        if constraint is not None:
-            plan = plan_constrained(target, reward, constraint)
-            policy, occupancy, value = plan.policy, plan.occupancy, plan.value
-        else:
-            policy = plan_unconstrained(target, reward)
-            occupancy = occupancy_measure(target, policy)
-            value = float(policy_evaluation(target, policy, reward).v[target.initial_state])
+        result = plan(target, reward, constraint)
+        policy, occupancy, value = result.policy, result.occupancy, result.value
     else:
         raise DomainError(f"unknown planner {planner!r}")
 

@@ -6,6 +6,8 @@ centroids of the bounded sets, manifold-parameterized centroids, and the
 cross-environment bias ratio.  Membership never runs per-sample value
 iteration: a fixed policy's values and advantages are linear in the reward,
 so each policy becomes two fixed matrices applied to a column-laid batch.
+The bounded-set oracles build each deterministic policy's maps once per call
+and its gap once per batch, flagging the policies that must be optimal.
 
 Sampling is chunked; chunk i draws from an independent counter-derived
 substream of the seed, so estimates depend only on (seed, n) no matter how
@@ -16,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .centroids import CentroidRequest, enumerate_extensions
+from .centroids import CentroidRequest
 from .errors import DomainError
-from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box
-from .mdp import PolicyTable, RewardTable, TabularMdp
+from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, shaping
+from .mdp import PolicyTable, RewardTable, TabularMdp, k_pi, w_matrix
 
 CHUNK = 1 << 17
 MAX_ENUMERATED_POLICIES = 4096
@@ -102,12 +105,11 @@ class _PolicyEvaluator:
     """
 
     def __init__(self, mdp: TabularMdp, actions: np.ndarray):
-        actions = np.asarray(actions, dtype=int)
         S, A = mdp.num_states, mdp.num_actions
-        w = np.eye(S) - mdp.discount * mdp.transitions[np.arange(S), actions]
-        prescribed = np.arange(S) * A + actions
+        policy = PolicyTable.from_actions(actions, A)
+        prescribed = np.arange(S) * A + policy.actions()
         self.value_map = np.zeros((S, S * A))
-        self.value_map[:, prescribed] = np.linalg.inv(w)
+        self.value_map[:, prescribed] = np.linalg.inv(w_matrix(mdp, policy))
         self.gap_map = (
             np.eye(S * A)
             + mdp.discount * mdp.transitions.reshape(S * A, S) @ self.value_map
@@ -116,21 +118,19 @@ class _PolicyEvaluator:
         # q at the prescribed action equals v identically (Bellman row), so
         # its row is zeroed out rather than left to floating-point noise.
         self.gap_map[prescribed] = 0.0
-        self.k_pi = float(np.exp(-np.linalg.slogdet(w)[1] / S))
+        self.k_pi = k_pi(mdp, policy)
 
     def optimal_mask(self, rewards: np.ndarray) -> np.ndarray:
         r = rewards.reshape(rewards.shape[0], -1).T
         return (self.gap_map @ r).max(axis=0) <= 0.0
 
 
-def _evaluators_for_all_policies(mdp: TabularMdp) -> list[_PolicyEvaluator]:
-    count = mdp.num_actions**mdp.num_states
-    if count > MAX_ENUMERATED_POLICIES:
+def _all_policies(mdp: TabularMdp) -> tuple[np.ndarray, list[_PolicyEvaluator]]:
+    """Every deterministic policy: its action rows (lexicographic) and evaluators."""
+    if mdp.num_actions**mdp.num_states > MAX_ENUMERATED_POLICIES:
         raise DomainError("instance too large for exhaustive policy enumeration")
-    return [
-        _PolicyEvaluator(mdp, np.array(actions))
-        for actions in itertools.product(range(mdp.num_actions), repeat=mdp.num_states)
-    ]
+    rows = np.array(list(itertools.product(range(mdp.num_actions), repeat=mdp.num_states)))
+    return rows, [_PolicyEvaluator(mdp, actions) for actions in rows]
 
 
 def _bounded_opt_mask(
@@ -138,33 +138,30 @@ def _bounded_opt_mask(
     rewards: np.ndarray,
     c1: float,
     c2: float,
+    wanted: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Membership in the bounded OPT set, enumerating every deterministic policy."""
+    """Membership in the bounded OPT set, enumerating every deterministic policy.
+
+    With wanted (one flag per evaluator), some wanted policy must also be
+    optimal exactly, max gap <= 0.0 as in optimal_mask.
+    """
     n = rewards.shape[0]
     r = rewards.reshape(n, -1).T
     violated = np.zeros(n, dtype=bool)
     any_optimal = np.zeros(n, dtype=bool)
-    for ev in evaluators:
+    wanted_optimal = np.zeros(n, dtype=bool)
+    for i, ev in enumerate(evaluators):
         gap = ev.gap_map @ r
-        optimal = gap.max(axis=0) <= BOUNDED_SET_TOL
+        worst = gap.max(axis=0)
+        if wanted is not None and wanted[i]:
+            wanted_optimal |= worst <= 0.0
+        optimal = worst <= BOUNDED_SET_TOL
         bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + BOUNDED_SET_TOL
         bounded &= np.abs(gap).max(axis=0) <= c2 + BOUNDED_SET_TOL
         violated |= optimal & ~bounded
         any_optimal |= optimal
-    return any_optimal & ~violated
-
-
-def _extension_evaluators(
-    mdp: TabularMdp, expert: PolicyTable, support: frozenset[int] | set[int]
-) -> list[_PolicyEvaluator]:
-    """Evaluators for every deterministic completion of the expert off its support."""
-    req = CentroidRequest(expert, support, BehaviorModel.opt(), mdp.num_actions)
-    if mdp.num_actions ** (req.num_states - len(req.support)) > MAX_ENUMERATED_POLICIES:
-        raise DomainError("too many expert extensions to enumerate")
-    off, extensions = enumerate_extensions(req)
-    actions = np.tile(expert.actions(), (len(extensions), 1))
-    actions[:, off] = extensions
-    return [_PolicyEvaluator(mdp, row) for row in actions]
+    mask = any_optimal & ~violated
+    return mask if wanted is None else mask & wanted_optimal
 
 
 def mc_volume_fraction(
@@ -191,14 +188,14 @@ def mc_volume_fraction(
         raise DomainError("box must be a nonempty interval")
     if not policy.deterministic:
         raise DomainError("volume fractions require a deterministic policy")
-    target = _PolicyEvaluator(mdp, policy.actions())
+    if policy.probs.shape != (mdp.num_states, mdp.num_actions):
+        raise DomainError("policy shape does not match the MDP")
     if params is None:
-        return _bernoulli_fraction(_uniform_box(mdp, box), target.optimal_mask, n, seed)
-    evaluators = _evaluators_for_all_policies(mdp)
-
-    def hit(rewards: np.ndarray) -> np.ndarray:
-        return target.optimal_mask(rewards) & _bounded_opt_mask(evaluators, rewards, params.c1, params.c2)
-
+        hit = _PolicyEvaluator(mdp, policy.actions()).optimal_mask
+    else:
+        rows, evaluators = _all_policies(mdp)
+        wanted = (rows == policy.actions()).all(axis=1)
+        hit = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
     return _bernoulli_fraction(_uniform_box(mdp, box), hit, n, seed)
 
 
@@ -245,14 +242,14 @@ def mc_centroid_opt(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    req = CentroidRequest(expert, support, BehaviorModel.opt(), mdp.num_actions)
+    if req.num_states != mdp.num_states:
+        raise DomainError("expert shape does not match the MDP")
     box = bounding_box(params, mdp.discount)
-    extensions = _extension_evaluators(mdp, expert, support)
-    all_policies = _evaluators_for_all_policies(mdp)
-
-    def accept(rewards: np.ndarray) -> np.ndarray:
-        feasible = np.logical_or.reduce([ev.optimal_mask(rewards) for ev in extensions])
-        return feasible & _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
-
+    rows, evaluators = _all_policies(mdp)
+    on = sorted(req.support)
+    wanted = (rows[:, on] == expert.actions()[on]).all(axis=1)
+    accept = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 
@@ -263,11 +260,7 @@ def mc_centroid_prior(
     if n < 1:
         raise DomainError("n must be >= 1")
     box = bounding_box(params, mdp.discount)
-    all_policies = _evaluators_for_all_policies(mdp)
-
-    def accept(rewards: np.ndarray) -> np.ndarray:
-        return _bounded_opt_mask(all_policies, rewards, params.c1, params.c2)
-
+    accept = partial(_bounded_opt_mask, _all_policies(mdp)[1], c1=params.c1, c2=params.c2)
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 
@@ -288,9 +281,7 @@ def mc_centroid_manifold(
         raise DomainError("eta shape does not match the MDP")
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        v = rng.uniform(-c1, c1, size=(size, mdp.num_states))
-        shaped = v[:, :, None] - mdp.discount * np.einsum("sap,np->nsa", mdp.transitions, v)
-        return shaped + eta.values
+        return shaping(mdp, rng.uniform(-c1, c1, size=(size, mdp.num_states))) + eta.values
 
     return _accumulating_centroid(mdp, draw, n, seed)
 
@@ -340,15 +331,14 @@ def new_env_bias_ratio(c2: float, n: int, seed: int, gamma: float = 0.999) -> Mc
     if n < 1:
         raise DomainError("n must be >= 1")
     src, dst = _bias_ratio_instances(gamma)
-    sample_policy = np.array([1, 0])  # jump-flavored action in s0, loop in s1
+    sample_policy = PolicyTable.from_actions([1, 0], 2)  # jump-flavored action in s0, loop in s1
     target = _PolicyEvaluator(dst, np.array([0, 0]))
-    src_eval = _PolicyEvaluator(src, sample_policy)
-    v_halfwidth = 1.0 * src_eval.k_pi  # c1 = 1
+    v_halfwidth = 1.0 * k_pi(src, sample_policy)  # c1 = 1
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         v = rng.uniform(-v_halfwidth, v_halfwidth, size=(size, 2))
         gaps = rng.uniform(-c2, 0.0, size=(size, 2))
-        rewards = v[:, :, None] - gamma * np.einsum("sap,np->nsa", src.transitions, v)
+        rewards = shaping(src, v)
         rewards[:, 0, 0] += gaps[:, 0]  # non-prescribed action in s0
         rewards[:, 1, 1] += gaps[:, 1]  # non-prescribed action in s1
         return rewards

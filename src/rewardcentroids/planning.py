@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import AdvantageGap, t_operator
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -25,6 +25,7 @@ from .mdp import (
     TabularMdp,
     greedy_policy,
     occupancy_measure,
+    policy_evaluation,
     value_iteration,
 )
 
@@ -115,7 +116,15 @@ def policy_from_occupancy(d: OccupancyMeasure) -> PolicyTable:
     return PolicyTable(probs)
 
 
-def _solution_occupancy(mdp: TabularMdp, sol: LpSolution) -> tuple[PolicyTable, OccupancyMeasure]:
+def _solve_occupancy(
+    mdp: TabularMdp, lp: LinearProgram, infeasible: str
+) -> tuple[PolicyTable, OccupancyMeasure]:
+    """Solve an occupancy LP; the policy of its optimum and that policy's exact occupancy."""
+    sol = solve(lp)
+    if sol.status == INFEASIBLE:
+        raise InfeasibleConstraintError(infeasible)
+    if sol.status != OPTIMAL:
+        raise SolverError(f"unexpected LP status {sol.status}")
     S, A = mdp.num_states, mdp.num_actions
     d_raw = np.maximum(sol.x[: S * A].reshape(S, A), 0.0)
     d_raw /= d_raw.sum()
@@ -129,14 +138,18 @@ def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec
     if r.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("reward shape does not match the MDP")
     lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
-    sol = solve(lp)
-    if sol.status == INFEASIBLE:
-        raise InfeasibleConstraintError("no policy satisfies the cost budget")
-    if sol.status != OPTIMAL:
-        raise SolverError(f"unexpected LP status {sol.status}")
-    policy, occ = _solution_occupancy(mdp, sol)
+    policy, occ = _solve_occupancy(mdp, lp, "no policy satisfies the cost budget")
     value = float((occ.d * r.values).sum() / (1.0 - mdp.discount))
     return PlanResult(policy=policy, occupancy=occ, value=value)
+
+
+def plan(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec | None = None) -> PlanResult:
+    """plan_constrained under a constraint; else the greedy plan and its value at s0."""
+    if constraint is not None:
+        return plan_constrained(mdp, r, constraint)
+    policy = plan_unconstrained(mdp, r)
+    value = float(policy_evaluation(mdp, policy, r).v[mdp.initial_state])
+    return PlanResult(policy=policy, occupancy=occupancy_measure(mdp, policy), value=value)
 
 
 def mimic_policy(
@@ -170,12 +183,7 @@ def mimic_policy(
     lp = _occupancy_lp(
         target_mdp, objective, constraint, extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
     )
-    sol = solve(lp)
-    if sol.status == INFEASIBLE:
-        raise InfeasibleConstraintError("no feasible occupancy satisfies the constraints")
-    if sol.status != OPTIMAL:
-        raise SolverError(f"unexpected LP status {sol.status}")
-    policy, occ = _solution_occupancy(target_mdp, sol)
+    policy, occ = _solve_occupancy(target_mdp, lp, "no feasible occupancy satisfies the constraints")
     l1 = float(np.abs(occ.d.ravel() - d_e).sum())
     return MimicResult(policy=policy, occupancy=occ, l1_distance=l1)
 

@@ -44,6 +44,14 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _known_keys(doc, allowed, where: str):
+    """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
+    return doc
+
+
 def mdp_to_dict(mdp: TabularMdp) -> dict:
     return {
         "num_states": mdp.num_states,

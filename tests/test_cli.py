@@ -206,6 +206,23 @@ SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("c.json", json.dumps({**SCENARIO, "outputs": 5}),
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        # unknown keys are errors, not silently ignored
+        ("c.json", json.dumps({**SCENARIO, "planer": "mimic"}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "estimator": {"n": 1, "h": 100, "count_all": True}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "constraint": None}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "target": {"gama": 0.5}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "model": {"kind": "opt", "lambda": 2.0}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "seeds": {"simulat": 3}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "outputs": ["policy_svgg"]}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("s.json", json.dumps({**MALFORMED_SPEC, "width": 2, "blocked": [[1, 1]]}),
+         ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
     ],
 )
 def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content, command):

@@ -12,6 +12,7 @@ from rewardcentroids.geometry import (
     eta_mce,
     is_feasible,
     is_in_bounded_set,
+    shaping,
     t_matrix,
     t_matrix_determinant_check,
     t_operator,
@@ -96,6 +97,18 @@ class TestOperators:
         mdp = random_mdp(2, 2, 0.5, rng)
         eta = RewardTable(rng.normal(size=(2, 2)))
         assert u_operator(mdp, eta, np.zeros(2)).values == pytest.approx(eta.values)
+
+    def test_batched_shaping_matches_u_operator_per_row(self, rng):
+        for S, A in ((1, 2), (2, 2), (3, 2), (2, 3), (5, 4)):
+            mdp = random_mdp(S, A, 0.9, rng)
+            eta = RewardTable(rng.normal(size=(S, A)))
+            v = rng.uniform(-3.0, 3.0, size=(4, 5, S))
+            batched = shaping(mdp, v) + eta.values
+            assert batched.shape == (4, 5, S, A)
+            for i, j in np.ndindex(4, 5):
+                r = u_operator(mdp, eta, v[i, j]).values
+                bound = 2.0 * np.finfo(float).eps * (1.0 + np.abs(r).max())
+                assert np.abs(batched[i, j] - r).max() <= bound
 
     def test_u_operator_constant_values(self, rng):
         mdp = random_mdp(3, 2, 0.4, rng)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rewardcentroids import mclab
 from rewardcentroids.errors import DomainError
 from rewardcentroids.geometry import (
     BehaviorModel,
@@ -15,7 +16,7 @@ from rewardcentroids.geometry import (
 )
 from rewardcentroids.mclab import (
     McEstimate,
-    _evaluators_for_all_policies,
+    _all_policies,
     _bounded_opt_mask,
     _PolicyEvaluator,
     fig_two_state_chain,
@@ -118,11 +119,33 @@ class TestBatchedMembership:
                 rng.uniform(lo, hi, size=(150, S, A)),
                 _rewards_near_policy(mdp, actions, rng, 150, halfwidth, (-1.1, 0.1)),
             ])
-            mask = _bounded_opt_mask(_evaluators_for_all_policies(mdp), rewards, 1.0, 1.0)
+            mask = _bounded_opt_mask(_all_policies(mdp)[1], rewards, 1.0, 1.0)
             assert mask.any() and not mask.all()
             for i in range(0, 300, 7):
                 scalar = is_in_bounded_set(mdp, RewardTable(rewards[i]), params)
                 assert scalar == bool(mask[i]), (S, A, i)
+
+    def test_wanted_flags_match_the_two_pass_form(self, rng):
+        # wanted-and-optimal in the one enumeration == optimal_mask of the
+        # target (or of any completion off the support) AND the bounded mask
+        lo, hi = bounding_box(BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt()), 0.6)
+        for S, A in SHAPES:
+            mdp = random_mdp(S, A, 0.6, rng)
+            actions = rng.integers(A, size=S)
+            halfwidth = 1.1 * k_pi(mdp, det_policy(actions, A))
+            rewards = np.concatenate([
+                rng.uniform(lo, hi, size=(150, S, A)),
+                _rewards_near_policy(mdp, actions, rng, 150, halfwidth, (-1.1, 0.1)),
+            ])
+            rows, evaluators = _all_policies(mdp)
+            bounded = _bounded_opt_mask(evaluators, rewards, 1.0, 1.0)
+            for wanted in ((rows == actions).all(axis=1), rows[:, 0] == actions[0]):
+                two_pass = np.logical_or.reduce(
+                    [_PolicyEvaluator(mdp, row).optimal_mask(rewards) for row in rows[wanted]]
+                ) & bounded
+                one_pass = _bounded_opt_mask(evaluators, rewards, 1.0, 1.0, wanted)
+                assert two_pass.any() and not two_pass.all(), (S, A)
+                np.testing.assert_array_equal(one_pass, two_pass)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,6 +171,25 @@ def test_linear_maps_reproduce_policy_evaluation(S, A, gamma, seed):
     assert np.all(gaps.reshape(S, A, 5)[np.arange(S), actions] == 0.0)
 
 
+@pytest.mark.parametrize("S, A", SHAPES)
+def test_bounded_oracles_respect_the_enumeration_cap(S, A, rng, monkeypatch):
+    mdp = random_mdp(S, A, 0.5, rng)
+    params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+    policy = det_policy(np.zeros(S, dtype=int), A)
+    oracles = (
+        lambda: mc_volume_fraction(mdp, policy, BehaviorModel.opt(), (-1.0, 1.0), 1, 0, params),
+        lambda: mc_centroid_opt(mdp, policy, frozenset({0}), params, 1, 0),
+        lambda: mc_centroid_prior(mdp, params, 1, 0),
+    )
+    monkeypatch.setattr(mclab, "MAX_ENUMERATED_POLICIES", A**S)
+    for oracle in oracles:
+        oracle()
+    monkeypatch.setattr(mclab, "MAX_ENUMERATED_POLICIES", A**S - 1)
+    for oracle in oracles:
+        with pytest.raises(DomainError):
+            oracle()
+
+
 class TestVolumeFraction:
     def test_rejects_non_opt_model(self, rng):
         mdp = random_mdp(2, 2, 0.5, rng)
@@ -155,6 +197,18 @@ class TestVolumeFraction:
             mc_volume_fraction(
                 mdp, det_policy([0, 0], 2), BehaviorModel.mce(1.0), (-1, 1), 10, 0
             )
+
+    def test_rejects_a_policy_of_another_shape(self, rng):
+        # a one-state policy would broadcast over both states of the chain
+        mdp = fig_two_state_chain(0.9)
+        params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+        one_state = det_policy([0], 2)
+        with pytest.raises(DomainError):
+            mc_volume_fraction(mdp, one_state, BehaviorModel.opt(), (-1.0, 1.0), 10, 0)
+        with pytest.raises(DomainError):
+            mc_volume_fraction(mdp, one_state, BehaviorModel.opt(), (-1.0, 1.0), 10, 0, params)
+        with pytest.raises(DomainError):
+            mc_centroid_opt(mdp, one_state, frozenset({0}), params, 10, 0)
 
     def test_fractions_partition_the_box(self, rng):
         # the four deterministic-policy regions tile the hypercube a.s.
