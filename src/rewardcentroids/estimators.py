@@ -38,16 +38,16 @@ class TrajectoryDataset:
     actions: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
-        actions = np.asarray(self.actions, dtype=np.int64)
+        states, actions = np.asarray(self.states), np.asarray(self.actions)
+        if not (np.issubdtype(states.dtype, np.integer) and np.issubdtype(actions.dtype, np.integer)):
+            raise DomainError("state/action indices must be integers (not floats or booleans)")
+        states, actions = states.astype(np.int64, order="C"), actions.astype(np.int64, order="C")
         if states.ndim != 2 or states.shape != actions.shape:
             raise DomainError("states and actions must be N x H integer arrays")
         if states.shape[1] < 1:
             raise DomainError("trajectories must have length >= 1")
         if np.any(states < 0) or np.any(actions < 0):
             raise DomainError("state/action indices must be nonnegative")
-        states = states.copy()
-        actions = actions.copy()
         states.setflags(write=False)
         actions.setflags(write=False)
         object.__setattr__(self, "states", states)
@@ -89,38 +89,69 @@ def _check_dims(data: TrajectoryDataset, dims: tuple[int, int]) -> tuple[int, in
     return S, A
 
 
+def _candidates(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a draw can land on in each CDF row, for `_draw`.
+
+    A draw u lands on the first column whose cdf is >= u: column 0 or a
+    column where the row rises.  Returns `values` (K, rows), the given cdf
+    entries at those columns (not re-summed) padded with 2.0, and `idx`
+    (rows, K + 1), the columns padded with the last column W - 1, where a
+    draw above a row's final cdf lands (a row may sum to just below 1).
+    """
+    num_rows, width = cdf.shape
+    lands = np.ones((num_rows, width), dtype=bool)
+    lands[:, 1:] = cdf[:, 1:] > cdf[:, :-1]
+    k = int(lands.sum(axis=1).max())
+    cols = np.argsort(~lands, axis=1, kind="stable")[:, :k]
+    real = np.take_along_axis(lands, cols, axis=1)
+    values = np.where(real, np.take_along_axis(cdf, cols, axis=1), 2.0).T.copy()
+    idx = np.full((num_rows, k + 1), width - 1, dtype=np.int64)
+    idx[:, :k][real] = cols[real]
+    return values, idx
+
+
+def _draw(values: np.ndarray, idx: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column drawn by u in each given row: min(#{cdf < u}, W - 1).
+
+    Counts only the candidate columns below u and looks the count up in
+    `idx`.  A column left out lies on a flat stretch of its row, so it is
+    never the first column at or above u: the lookup gives the same column
+    as the full count, bit for bit.
+    """
+    flat = rows * idx.shape[1]  # idx.ravel() offset of each row's first candidate
+    for column in values:
+        flat += column.take(rows) < u
+    return idx.ravel().take(flat)
+
+
 def simulate_expert(
     mdp: TabularMdp, expert: PolicyTable, n: int, h: int, seed: int
 ) -> TrajectoryDataset:
     """Roll out n i.i.d. length-h trajectories of the expert from the initial state.
 
     Deterministic given (seed, n, h); the sampler draws from a single
-    counter-based stream in a fixed order, so the result does not depend on
-    how the work is scheduled.
+    counter-based stream in a fixed order (the actions at t, then the states
+    at t + 1), so the result does not depend on how the work is scheduled.
+    Each draw is compared only with the columns of its CDF row that it can
+    land on (`_candidates`), which picks the same index as comparing it
+    with the whole row.
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
-    if expert.probs.shape != (mdp.num_states, mdp.num_actions):
+    S, A = mdp.num_states, mdp.num_actions
+    if expert.probs.shape != (S, A):
         raise DomainError("expert shape does not match the MDP")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    policy_cdf = np.cumsum(expert.probs, axis=1)
-    trans_cdf = np.cumsum(mdp.transitions, axis=2)
-    states = np.empty((n, h), dtype=np.int64)
-    actions = np.empty((n, h), dtype=np.int64)
-    states[:, 0] = mdp.initial_state
+    policy = _candidates(np.cumsum(expert.probs, axis=1))
+    trans = _candidates(np.cumsum(mdp.transitions, axis=2).reshape(S * A, S))
+    states = np.empty((h, n), dtype=np.int64)
+    actions = np.empty((h, n), dtype=np.int64)
+    states[0] = mdp.initial_state
     for t in range(h):
-        cur = states[:, t]
-        u = rng.random(n)
-        actions[:, t] = np.minimum(
-            (policy_cdf[cur] < u[:, None]).sum(axis=1), mdp.num_actions - 1
-        )
+        actions[t] = _draw(*policy, states[t], rng.random(n))
         if t + 1 < h:
-            u2 = rng.random(n)
-            states[:, t + 1] = np.minimum(
-                (trans_cdf[cur, actions[:, t]] < u2[:, None]).sum(axis=1),
-                mdp.num_states - 1,
-            )
-    return TrajectoryDataset(states=states, actions=actions)
+            states[t + 1] = _draw(*trans, states[t] * A + actions[t], rng.random(n))
+    return TrajectoryDataset(states=states.T, actions=actions.T)
 
 
 def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitCounts:
@@ -130,14 +161,15 @@ def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitC
     analysis holds for first visits only.
     """
     S, A = _check_dims(data, dims)
-    nsa = np.zeros((S, A), dtype=np.int64)
-    visited = np.zeros((data.num_trajectories, S), dtype=bool)
-    rows = np.arange(data.num_trajectories)
-    for t in range(data.horizon):
-        s_t = data.states[:, t]
-        fresh = ~visited[rows, s_t]
-        np.add.at(nsa, (s_t[fresh], data.actions[fresh, t]), 1)
-        visited[rows, s_t] = True
+    states, actions = data.states.T, data.actions.T
+    visited = np.zeros(data.num_trajectories * S, dtype=bool)  # (n, S) table, raveled
+    first = np.empty(states.shape, dtype=bool)
+    row_start = np.arange(data.num_trajectories) * S
+    for t, s_t in enumerate(states):
+        key = row_start + s_t
+        first[t] = ~visited.take(key)
+        visited[key] = True
+    nsa = np.bincount(states[first] * A + actions[first], minlength=S * A).reshape(S, A)
     return VisitCounts(nsa=nsa, ns=nsa.sum(axis=1))
 
 

@@ -164,6 +164,14 @@ def save_trajectories(data: TrajectoryDataset, path) -> None:
             fh.write("\n")
 
 
+def _indices(doc: dict, key: str, where: str) -> list[int]:
+    """doc[key] as a list of JSON integers; 1.7 or true is an error, not 1."""
+    values = _require(doc, key, where)
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise DomainError(f"{where}: {key!r} must be a list of integers")
+    return values
+
+
 def load_trajectories(path) -> TrajectoryDataset:
     states, actions = [], []
     with _reading(path):
@@ -173,8 +181,9 @@ def load_trajectories(path) -> TrajectoryDataset:
                 if not line:
                     continue
                 doc = json.loads(line)
-                states.append(_require(doc, "states", f"trajectory line {line_no}"))
-                actions.append(_require(doc, "actions", f"trajectory line {line_no}"))
+                where = f"{path} line {line_no}"
+                states.append(_indices(doc, "states", where))
+                actions.append(_indices(doc, "actions", where))
         if not states:
             raise DomainError(f"no trajectories in {path}")
         lengths = {len(s) for s in states} | {len(a) for a in actions}

@@ -196,6 +196,11 @@ SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
         ("absent.json", None, ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("t.jsonl", '{"states": 5, "actions": 3}\n',
          ["estimate", "--model", "opt", "--data", "{path}", "--num-states", "2", "--num-actions", "2"]),
+        # non-integer indices are errors, not truncated to 1
+        ("t.jsonl", '{"states": [0, 1.7], "actions": [0, 0]}\n',
+         ["estimate", "--model", "opt", "--data", "{path}", "--num-states", "2", "--num-actions", "2"]),
+        ("t.jsonl", '{"states": [0, 1], "actions": [0, true]}\n',
+         ["estimate", "--model", "opt", "--data", "{path}", "--num-states", "2", "--num-actions", "2"]),
         ("m.json", json.dumps(MALFORMED_MDP), ["plan", "--mdp", "{path}", "--reward", "{path}"]),
         ("c.json", json.dumps({"width": 2}), ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("c.json", json.dumps({**SCENARIO, "model": {"lambda": 1.0}}),

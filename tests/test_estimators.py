@@ -1,13 +1,20 @@
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rewardcentroids.centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_opt
 from rewardcentroids.errors import DomainError
 from rewardcentroids.estimators import (
     TrajectoryDataset,
     VisitCounts,
+    _candidates,
+    _draw,
     estimate_birl,
     estimate_mce,
     estimate_opt,
@@ -19,8 +26,10 @@ from rewardcentroids.estimators import (
     simulate_expert,
 )
 from rewardcentroids.geometry import BehaviorModel
+from rewardcentroids.gridworld import build_gridworld, spec_from_dict
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import PolicyTable, TabularMdp, random_mdp
+from rewardcentroids.serialization import load_policy
 
 from conftest import det_policy
 
@@ -43,6 +52,55 @@ def slip_chain(num_states: int, advance: float, gamma: float = 0.8) -> TabularMd
     return TabularMdp(num_states, 2, 0, p, gamma)
 
 
+def dense_draw(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Oracle draw: the first column whose cdf is >= u, over whole rows."""
+    return np.minimum((cdf[rows] < u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def dense_simulate(mdp: TabularMdp, expert: PolicyTable, n: int, h: int, seed: int):
+    """Oracle sampler: `dense_draw` on the same stream (action at t, then state at t + 1)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    S, A = mdp.num_states, mdp.num_actions
+    policy_cdf = np.cumsum(expert.probs, axis=1)
+    trans_cdf = np.cumsum(mdp.transitions, axis=2).reshape(S * A, S)
+    states = np.empty((n, h), dtype=np.int64)
+    actions = np.empty((n, h), dtype=np.int64)
+    states[:, 0] = mdp.initial_state
+    for t in range(h):
+        actions[:, t] = dense_draw(policy_cdf, states[:, t], rng.random(n))
+        if t + 1 < h:
+            states[:, t + 1] = dense_draw(trans_cdf, states[:, t] * A + actions[:, t], rng.random(n))
+    return states, actions
+
+
+def sparse_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Probability rows over the last axis with about half their entries exactly 0."""
+    probs = rng.random(shape) * (rng.random(shape) < 0.5)
+    probs[..., -1] += probs.sum(axis=-1) == 0
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def fig3a_grid() -> tuple[TabularMdp, PolicyTable]:
+    doc = json.loads((CONFIGS / "fig3a.json").read_text())["gridworld"]
+    grid, _ = build_gridworld(spec_from_dict(doc, base_dir=CONFIGS))
+    return grid, load_policy(CONFIGS / doc["expert_policy_file"])
+
+
+def ring_chain() -> tuple[TabularMdp, PolicyTable]:
+    """Acceptance criterion 09's 5-state ring and its 0.9/0.1 expert."""
+    p = np.zeros((5, 2, 5))
+    for s in range(5):
+        p[s, :, (s + 1) % 5] = 1.0
+    return TabularMdp(5, 2, 0, p, 0.8), PolicyTable(np.tile([0.9, 0.1], (5, 1)))
+
+
+def trajectory_digest(data: TrajectoryDataset) -> str:
+    return hashlib.sha256(data.states.tobytes() + data.actions.tobytes()).hexdigest()
+
+
 class TestDatasets:
     def test_shapes_validated(self):
         with pytest.raises(DomainError):
@@ -51,6 +109,19 @@ class TestDatasets:
     def test_negative_indices_rejected(self):
         with pytest.raises(DomainError):
             TrajectoryDataset(states=-np.ones((1, 2), int), actions=np.zeros((1, 2), int))
+
+    @pytest.mark.parametrize(
+        "states, actions",
+        [
+            ([[0, 1.7]], [[0, 1]]),
+            ([[0, 1]], np.array([[False, True]])),
+            (np.zeros((1, 2)), np.zeros((1, 2), int)),
+            ([[]], [[]]),
+        ],
+    )
+    def test_non_integer_indices_rejected(self, states, actions):
+        with pytest.raises(DomainError, match="integer"):
+            TrajectoryDataset(states=states, actions=actions)
 
     def test_counts_consistency_enforced(self):
         with pytest.raises(DomainError):
@@ -88,6 +159,83 @@ class TestSimulate:
         sigma = np.sqrt(n * p1 * (1 - p1))
         assert abs(count - n * p1) <= 3 * sigma
 
+    # sha256 of states.tobytes() + actions.tobytes() (int64, little-endian),
+    # computed with the full-row sampler of commit daf832d
+    PINNED = {
+        ("grid", 1): "5e21112ac8d2522c44dae38e25c0015b47585bfe4fe1ea0b94f681081acc3bcf",
+        ("grid", 2): "847255a46ce0f357a92fe4e0b5847e0203d8f5244296b57beeca873e7ab663dc",
+        ("grid", 3): "202c3f46c1d17a14810e8ae3bf1da44f1523fe700266d0a1d7359bb30d4facd2",
+        ("ring", 0): "5c3d1602e30d55068ffc375ad25e0deb66f53c0ae714ca13b8b9a7d622476579",
+        ("ring", 7): "fd4c8d868972067ab5901c9a05dc3b39840186780522af747518aee1adc19ab8",
+        ("ring", 14): "eff63ccece375c4d214057acf8bdc58aaf90c8e01ca182d7212ce5f9e15a3831",
+    }
+
+    @pytest.mark.parametrize("setup, seed", sorted(PINNED))
+    def test_trajectories_match_pinned_digest(self, setup, seed):
+        if setup == "grid":
+            mdp, expert = fig3a_grid()
+            n, h = 500, 100
+        else:
+            mdp, expert = ring_chain()
+            n, h = 45_949, 5  # criterion 09's MCE sample_bound
+        data = simulate_expert(mdp, expert, n, h, seed)
+        assert trajectory_digest(data) == self.PINNED[setup, seed]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(1, 6),
+        A=st.integers(1, 4),
+        h=st.integers(1, 8),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_sampler_on_sparse_mdps(self, S, A, h, seed):
+        rng = np.random.default_rng(seed)
+        mdp = TabularMdp(S, A, int(rng.integers(S)), sparse_rows(rng, (S, A, S)), 0.5)
+        expert = PolicyTable(sparse_rows(rng, (S, A)))
+        data = simulate_expert(mdp, expert, 300, h, seed)
+        states, actions = dense_simulate(mdp, expert, 300, h, seed)
+        assert np.array_equal(data.states, states)
+        assert np.array_equal(data.actions, actions)
+
+
+class TestDraw:
+    """`_draw` over `_candidates` picks the column the dense count picks."""
+
+    @staticmethod
+    def check(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> None:
+        values, idx = _candidates(cdf)
+        assert np.array_equal(_draw(values, idx, rows, u), dense_draw(cdf, rows, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_rows=st.integers(1, 6),
+        width=st.integers(1, 10),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_count(self, num_rows, width, seed):
+        rng = np.random.default_rng(seed)
+        cdf = np.cumsum(sparse_rows(rng, (num_rows, width)), axis=1)
+        # u at, just above and just below every cdf value, plus 0, 1 and uniforms
+        edges = np.concatenate([cdf.ravel(), [0.0, 1.0]])
+        u = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0), rng.random(50)])
+        u = np.clip(u, 0.0, 1.0)
+        self.check(cdf, rng.integers(num_rows, size=u.size), u)
+
+    def test_zero_u_lands_on_column_zero(self):
+        cdf = np.cumsum([[0.0, 0.0, 0.5, 0.5], [0.25, 0.0, 0.75, 0.0]], axis=1)
+        rows = np.array([0, 1])
+        u = np.zeros(2)
+        self.check(cdf, rows, u)
+        assert _draw(*_candidates(cdf), rows, u).tolist() == [0, 0]
+
+    def test_row_summing_below_one_clips_to_last_column(self):
+        cdf = np.cumsum([[0.1] * 10], axis=1)
+        assert cdf[0, -1] < 1.0
+        rows = np.zeros(3, dtype=np.int64)
+        u = np.array([np.nextafter(cdf[0, -1], 2.0), 1.0, cdf[0, -1]])
+        self.check(cdf, rows, u)
+        assert _draw(*_candidates(cdf), rows, u).tolist() == [9, 9, 9]
+
 
 class TestFirstVisitCounts:
     def test_first_visit_rule(self):
@@ -123,6 +271,27 @@ class TestFirstVisitCounts:
             p = expert.probs[s, 0]
             sigma = np.sqrt(ns * p * (1 - p))
             assert abs(counts.nsa[s, 0] - ns * p) <= 3 * sigma
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        S=st.integers(1, 5),
+        A=st.integers(1, 3),
+        n=st.integers(1, 30),
+        h=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_sort_based_count(self, S, A, n, h, seed):
+        # few states and long trajectories: most states are visited repeatedly
+        rng = np.random.default_rng(seed)
+        states = rng.integers(S, size=(n, h))
+        actions = rng.integers(A, size=(n, h))
+        keys = (np.arange(n)[:, None] * S + states).ravel()
+        _, first = np.unique(keys, return_index=True)
+        expected = np.zeros((S, A), dtype=np.int64)
+        np.add.at(expected, (states.ravel()[first], actions.ravel()[first]), 1)
+        counts = first_visit_counts(TrajectoryDataset(states=states, actions=actions), (S, A))
+        assert np.array_equal(counts.nsa, expected)
+        assert np.array_equal(counts.ns, expected.sum(axis=1))
 
 
 class TestEstimators:
