@@ -5,8 +5,9 @@ Usage: python scripts/make_goldens.py [NAME ...]
 
 With scenario names (config stems such as fig3b), only those scenarios are
 regenerated; with none, all of them are.  For each rewritten report the old
-and new `value` are printed.  Run from the repository root after an
-intentional change to the pipeline, then review the diff before committing.
+and new `value` and `support_mass` are printed.  Run from the repository
+root after an intentional change to the pipeline, then review the diff
+before committing.
 """
 
 import json
@@ -23,8 +24,12 @@ CONFIGS = ROOT / "configs"
 GOLDENS = ROOT / "goldens"
 
 
-def _report_value(path: Path):
-    return json.loads(path.read_text()).get("value") if path.exists() else None
+FIELDS = ("value", "support_mass")
+
+
+def _report_fields(path: Path) -> dict:
+    report = json.loads(path.read_text()) if path.exists() else {}
+    return {field: report.get(field) for field in FIELDS}
 
 
 def main(names: list[str]) -> None:
@@ -40,12 +45,13 @@ def main(names: list[str]) -> None:
     for config in configs:
         report = GOLDENS / f"{config.stem}_report.json"
         before = report.read_bytes() if report.exists() else None
-        old_value = _report_value(report)
+        old = _report_fields(report)
         t0 = time.time()
         run_scenario(config.stem, config, GOLDENS)
         line = f"{config.stem:12s} {time.time() - t0:5.1f}s"
         if report.exists() and report.read_bytes() != before:
-            line += f"  value {old_value!r} -> {_report_value(report)!r}"
+            new = _report_fields(report)
+            line += "".join(f"  {field} {old[field]!r} -> {new[field]!r}" for field in FIELDS)
         print(line)
     print(f"done in {time.time() - start:.1f}s -> {GOLDENS}")
 

@@ -1,14 +1,31 @@
 """Self-contained dense linear-program solver.
 
-Two-phase primal simplex on a dense tableau.  The entering variable is the
-column with the most negative reduced cost (Dantzig's rule); the leaving
-variable passes the minimum-ratio test, ties going to the lowest-index basic
-variable.  Dantzig's rule can cycle on degenerate vertices, so once as many
-consecutive degenerate pivots (zero step length) have been taken as there
-are candidate columns, the entering variable becomes the lowest-index column
-with a negative reduced cost (Bland's rule, which cannot cycle) until a
-pivot makes progress again.  Vertex solutions make downstream policy
-extraction deterministic.
+Primal simplex on a dense tableau over the standard form: the structural
+columns x, then one slack column per `<=` row, with every row whose
+right-hand side is negative multiplied by -1.  A solve runs in three stages.
+
+- Start.  Given a starting basis (one standard-form column per row, whose
+  columns are invertible and whose basic solution is feasible) the tableau
+  B^-1 [A | b] is formed once.  Without one, phase 1 drives out
+  artificial columns (one per equality row and per flipped `<=` row) and
+  drops the rows whose artificial cannot leave, which are redundant.
+- Phase 2 minimizes the objective.
+- Tie stage.  Every nonbasic column whose reduced cost exceeds PIVOT_TOL is
+  barred, so the columns left span the optimal face.  The simplex then
+  minimizes one fixed tie objective over that face: uniform weights drawn
+  once from Philox key TIE_KEY on the structural columns, zero on slacks.
+  For generic weights that optimum is a single point, so the returned x
+  does not depend on the start or the pivot path (lexicographic
+  optimization, Isermann 1982).  The weights are nonnegative and so is x,
+  so this stage is bounded.
+
+The entering variable is the column with the most negative reduced cost
+(Dantzig's rule); the leaving variable passes the minimum-ratio test, ties
+going to the lowest-index basic variable.  Dantzig's rule can cycle on
+degenerate vertices, so once as many consecutive degenerate pivots (zero
+step length) have been taken as there are candidate columns, the entering
+variable becomes the lowest-index column with a negative reduced cost
+(Bland's rule, which cannot cycle) until a pivot makes progress again.
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-9
 MAX_ITERS = 500_000
+TIE_KEY = 0
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,13 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float
     dual: np.ndarray | None = None  # one multiplier per row, eq rows first
-    pivots: tuple[int, int] = (0, 0)  # phase 1 (with artificials driven out), phase 2
+    # phase 1 (with artificials driven out; 0 from a starting basis), phase 2, tie stage
+    pivots: tuple[int, int, int] = (0, 0, 0)
+
+
+def tie_objective(num_vars: int) -> np.ndarray:
+    """The tie stage's weights on the structural columns."""
+    return np.random.Generator(np.random.Philox(key=TIE_KEY)).random(num_vars)
 
 
 def _bland_entering(redcost: np.ndarray, limit: int) -> int:
@@ -84,17 +108,17 @@ def _ratio_leaving(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     return int(ties[np.argmin(basis[ties])])
 
 
-def _pivot(tab, cost, basis, buf, row: int, col: int) -> None:
+def _pivot(tab, cost, basis, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    np.multiply.outer(factors, tab[row], out=buf)
-    tab -= buf
+    # Rows with a zero in the pivot column would subtract zero: skip them.
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    tab[rows] -= np.multiply.outer(tab[rows, col], tab[row])
     cost -= cost[col] * tab[row]
     basis[row] = col
 
 
-def _run_simplex(tab, cost, basis, buf, entering_limit: int) -> tuple[str, int]:
+def _run_simplex(tab, cost, basis, entering_limit: int) -> tuple[str, int]:
     """Pivot to optimality; returns the status and the number of pivots taken."""
     stalled = 0  # consecutive degenerate pivots
     for pivots in range(MAX_ITERS):
@@ -107,83 +131,121 @@ def _run_simplex(tab, cost, basis, buf, entering_limit: int) -> tuple[str, int]:
         if row is None:
             return UNBOUNDED, pivots
         stalled = stalled + 1 if tab[row, -1] <= PIVOT_TOL else 0
-        _pivot(tab, cost, basis, buf, row, col)
+        _pivot(tab, cost, basis, row, col)
     raise SolverError("simplex iteration limit exceeded")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the program; returns a certified status and, when optimal, a vertex."""
+def _priced(weights: np.ndarray, tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Reduced-cost row of `weights` (one per tableau column) at the basis."""
+    cost = np.zeros(tab.shape[1])
+    cost[: weights.size] = weights
+    return cost - cost[basis] @ tab
+
+
+def _phase1(ab: np.ndarray, me: int, flip: np.ndarray, feas_tol: float):
+    """Cold start; returns (tableau, basis, kept rows, pivots), tableau None if infeasible."""
+    m, n_struct = ab.shape[0], ab.shape[1] - 1
+    slack0 = n_struct - (m - me)
+    # Artificial columns only where the slack cannot start basic.
+    need_art = (np.arange(m) < me) | flip
+    art_rows = np.flatnonzero(need_art)
+    n_cols = n_struct + art_rows.size
+    tab = np.zeros((m, n_cols + 1))
+    tab[:, :n_struct] = ab[:, :-1]
+    tab[art_rows, n_struct + np.arange(art_rows.size)] = 1.0
+    tab[:, -1] = ab[:, -1]
+    basis = slack0 + np.arange(m) - me
+    basis[art_rows] = n_struct + np.arange(art_rows.size)
+    keep = np.ones(m, dtype=bool)
+    if art_rows.size == 0:
+        return tab, basis, keep, 0
+    cost1 = np.zeros(n_cols + 1)
+    cost1[n_struct:n_cols] = 1.0
+    cost1 -= tab[art_rows].sum(axis=0)
+    status, pivots = _run_simplex(tab, cost1, basis, n_cols)
+    if status != OPTIMAL:  # phase 1 is bounded below by 0
+        raise SolverError("phase 1 terminated abnormally")
+    if -cost1[-1] > feas_tol:
+        return None, basis, keep, pivots
+    # Pivot basic artificials out; rows that cannot are redundant.
+    for i in range(m):
+        if basis[i] >= n_struct:
+            candidates = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
+            if candidates.size:
+                _pivot(tab, cost1, basis, i, int(candidates[0]))
+                pivots += 1
+            else:
+                keep[i] = False
+    tab = np.hstack([tab[keep, :n_struct], tab[keep, -1:]])
+    return tab, basis[keep], keep, pivots
+
+
+def _basis_tableau(ab: np.ndarray, basis, feas_tol: float):
+    """B^-1 [A | b] for a caller's starting basis, checked invertible and feasible."""
+    m, n_struct = ab.shape[0], ab.shape[1] - 1
+    basis = np.array(basis, dtype=int)
+    if basis.shape != (m,) or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n_struct:
+        raise DomainError("a starting basis needs one distinct standard-form column per row")
+    try:
+        # An explicit inverse: a many-column LU solve holds twice the memory.
+        tab = np.linalg.inv(ab[:, basis]) @ ab
+    except np.linalg.LinAlgError:
+        raise DomainError("the starting basis is singular") from None
+    if not np.all(np.isfinite(tab)):
+        raise DomainError("the starting basis is singular")
+    if tab[:, -1].min() < -feas_tol:
+        raise DomainError("the starting basis is not primal feasible")
+    tab[:, basis] = np.eye(m)
+    return tab, basis
+
+
+def solve(lp: LinearProgram, basis=None) -> LpSolution:
+    """Solve the program; returns a certified status and, when optimal, the
+    tie objective's optimum over the optimal face.
+
+    `basis`, if given, lists one standard-form column per row (structural
+    columns 0..n-1, then the slack of `<=` row j at n + j) that is invertible
+    and primal feasible; phase 1 is then skipped.
+    """
     n = lp.num_vars
     me, mu = lp.eq_rhs.size, lp.ub_rhs.size
     m = me + mu
     if m == 0:
         raise DomainError("program needs at least one constraint")
 
-    # Standard form rows: [eq | ub + slack], rhs made nonnegative by row flips.
-    a = np.zeros((m, n + mu))
-    a[:me, :n] = lp.eq_lhs
-    a[me:, :n] = lp.ub_lhs
-    a[me:, n:] = np.eye(mu)
-    b = np.concatenate([lp.eq_rhs, lp.ub_rhs])
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.abs(b)
-    feas_tol = 1e-7 * (1.0 + float(b.max()))
-
-    # Artificial columns only where the slack cannot start basic.
-    need_art = np.array([i < me or flip[i] for i in range(m)])
-    art_rows = np.flatnonzero(need_art)
+    # Standard form [A | b]: eq rows, then ub rows with their slacks; rows
+    # with a negative right-hand side flipped.
+    ab = np.zeros((m, n + mu + 1))
+    ab[:me, :n] = lp.eq_lhs
+    ab[me:, :n] = lp.ub_lhs
+    ab[me:, n:-1] = np.eye(mu)
+    ab[:, -1] = np.concatenate([lp.eq_rhs, lp.ub_rhs])
+    flip = ab[:, -1] < 0
+    ab[flip] *= -1.0
+    feas_tol = 1e-7 * (1.0 + float(ab[:, -1].max()))
     n_struct = n + mu
-    n_cols = n_struct + art_rows.size
-    tab = np.zeros((m, n_cols + 1))
-    tab[:, :n_struct] = a
-    for j, i in enumerate(art_rows):
-        tab[i, n_struct + j] = 1.0
-    tab[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_of_row = {int(i): n_struct + j for j, i in enumerate(art_rows)}
-    for i in range(m):
-        basis[i] = art_of_row[i] if need_art[i] else n + (i - me)
-    buf = np.empty_like(tab)
-    keep = np.ones(m, dtype=bool)
 
-    phase1 = 0
-    if art_rows.size:
-        cost1 = np.zeros(n_cols + 1)
-        cost1[n_struct:n_cols] = 1.0
-        for i in art_rows:
-            cost1 -= tab[i]
-        status, phase1 = _run_simplex(tab, cost1, basis, buf, n_cols)
-        if status != OPTIMAL:  # phase 1 is bounded below by 0
-            raise SolverError("phase 1 terminated abnormally")
-        if -cost1[-1] > feas_tol:
+    if basis is None:
+        tab, basis, keep, phase1 = _phase1(ab, me, flip, feas_tol)
+        if tab is None:
             return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"),
-                              pivots=(phase1, 0))
-        # Pivot basic artificials out; rows that cannot are redundant.
-        for i in range(m):
-            if basis[i] >= n_struct:
-                pivots = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
-                if pivots.size:
-                    _pivot(tab, cost1, basis, buf, i, int(pivots[0]))
-                    phase1 += 1
-                else:
-                    keep[i] = False
-        if not np.all(keep):
-            tab = tab[keep]
-            basis = basis[keep]
-        tab = np.hstack([tab[:, :n_struct], tab[:, -1:]])
-        buf = np.empty_like(tab)
+                              pivots=(phase1, 0, 0))
+    else:
+        tab, basis = _basis_tableau(ab, basis, feas_tol)
+        keep, phase1 = np.ones(m, dtype=bool), 0
 
-    # Phase 2 on the real objective.
-    cost2 = np.zeros(n_struct + 1)
-    cost2[:n] = lp.objective
-    for i in range(basis.size):
-        if cost2[basis[i]] != 0.0:
-            cost2 -= cost2[basis[i]] * tab[i]
-    status, phase2 = _run_simplex(tab, cost2, basis, buf, n_struct)
+    cost = _priced(lp.objective, tab, basis)
+    status, phase2 = _run_simplex(tab, cost, basis, n_struct)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, x=None, objective_value=float("-inf"),
-                          pivots=(phase1, phase2))
+                          pivots=(phase1, phase2, 0))
+
+    # Tie stage: the tie objective over the optimal face only.
+    tie = _priced(tie_objective(n), tab, basis)
+    tie[:n_struct][cost[:n_struct] > PIVOT_TOL] = np.inf
+    status, ties = _run_simplex(tab, tie, basis, n_struct)
+    if status != OPTIMAL:  # bounded below by 0
+        raise SolverError("tie stage terminated abnormally")
 
     x_full = np.zeros(n_struct)
     x_full[basis] = np.maximum(tab[:, -1], 0.0)
@@ -194,7 +256,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     kept_rows = np.flatnonzero(keep)
     y = np.zeros(m)
     if kept_rows.size:
-        basis_cols = a[np.ix_(kept_rows, basis)]
+        basis_cols = ab[np.ix_(kept_rows, basis)]
         c_basis = np.zeros(basis.size)
         struct_mask = basis < n
         c_basis[struct_mask] = lp.objective[basis[struct_mask]]
@@ -203,4 +265,5 @@ def solve(lp: LinearProgram) -> LpSolution:
         except np.linalg.LinAlgError:
             y[:] = np.nan
     y[flip] *= -1.0
-    return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y, pivots=(phase1, phase2))
+    return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y,
+                      pivots=(phase1, phase2, ties))

@@ -1,12 +1,25 @@
 """Planning in new environments: greedy, budget-constrained, and imitation baselines.
 
 Both LPs share one builder over the occupancy d of the target environment,
-with the flow equations and sum(d) = 1 as equalities; the budget "discounted
-cost value at the initial state <= k" becomes sum(d * c) <= (1-gamma)k.
-Constrained planning maximizes expected reward over d.  The MIMIC baseline
-finds the d closest in L1 distance to the expert's occupancy d_E in the
-source environment: one slack w_i >= d_E,i - d_i per pair on the expert's
-support, and since sum(d) = 1, sum|d - d_E| = 1 - sum(d_E) + 2 sum(w).
+with the flow equations as equalities.  Summed over states they give
+(1 - gamma) sum(d) = 1 - gamma, so sum(d) = 1 needs no row of its own.  The
+budget "discounted cost value at the initial state <= k" becomes
+sum(d * c) <= (1-gamma)k.  Constrained planning maximizes expected reward
+over d.  The MIMIC baseline finds the d closest in L1 distance to the
+expert's occupancy d_E in the source environment: one slack w_i >= d_E,i - d_i
+per pair on the expert's support, and since sum(d) = 1,
+sum|d - d_E| = 1 - sum(d_E) + 2 sum(w).
+
+Each LP starts from the basis of a deterministic crash policy pi: the
+columns (s, pi(s)), whose flow rows form W_pi^T (Puterman 1994, 6.9), and
+per `<=` row the cost slack, or MIMIC's w_i where d_E,i exceeds the crash
+occupancy and the row's slack elsewhere.  The crash policy is the preferred
+one (the greedy policy of r; the expert's actions) when it meets the
+budget, else the min-cost policy.  A deterministic min-cost policy attains
+the least cost value of any policy (Altman 1999), so when even it is over
+budget no policy is feasible and no LP is solved.  Every solution is
+certified: its primal residual and its duality gap must stay within
+CERTIFY_TOL * (1 + |objective|).
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import AdvantageGap, t_operator
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .lp import OPTIMAL, LinearProgram, solve
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -28,6 +41,10 @@ from .mdp import (
     policy_evaluation,
     value_iteration,
 )
+
+# Bound on a solution's primal residual and duality gap, relative to
+# 1 + |objective|; a crash policy may overdraw the budget row by as much.
+CERTIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,11 +100,9 @@ def _occupancy_lp(
 ) -> LinearProgram:
     S, A = mdp.num_states, mdp.num_actions
     n = S * A + extra_vars
-    flow_lhs, flow_rhs = _flow_rows(mdp)
-    eq_lhs = np.zeros((S + 1, n))
-    eq_lhs[:S, : S * A] = flow_lhs
-    eq_lhs[S, : S * A] = 1.0
-    eq_rhs = np.concatenate([flow_rhs, [1.0]])
+    flow_lhs, eq_rhs = _flow_rows(mdp)
+    eq_lhs = np.zeros((S, n))
+    eq_lhs[:, : S * A] = flow_lhs
     ub_lhs = np.zeros((0, n))
     ub_rhs = np.zeros(0)
     if constraint is not None:
@@ -116,15 +131,48 @@ def policy_from_occupancy(d: OccupancyMeasure) -> PolicyTable:
     return PolicyTable(probs)
 
 
+def _crash(
+    mdp: TabularMdp, actions: np.ndarray, constraint: ConstraintSpec | None, infeasible: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The crash policy's actions and flat occupancy: `actions` if they meet
+    the budget, else the min-cost policy's; InfeasibleConstraintError if
+    neither does."""
+    d = occupancy_measure(mdp, PolicyTable.from_actions(actions, mdp.num_actions)).d
+    if constraint is None:
+        return actions, d.ravel()
+    cost = constraint.cost.values
+    allowance = (1.0 - mdp.discount) * constraint.budget
+    limit = allowance + CERTIFY_TOL * (1.0 + allowance)
+    if (d * cost).sum() > limit:
+        cheapest = greedy_policy(value_iteration(mdp, RewardTable(-cost)))
+        actions, d = cheapest.actions(), occupancy_measure(mdp, cheapest).d
+        if (d * cost).sum() > limit:
+            raise InfeasibleConstraintError(infeasible)
+    return actions, d.ravel()
+
+
+def _flow_basis(mdp: TabularMdp, actions: np.ndarray) -> np.ndarray:
+    """The columns (s, actions[s]): a basis of the flow rows."""
+    return np.arange(mdp.num_states) * mdp.num_actions + actions
+
+
 def _solve_occupancy(
-    mdp: TabularMdp, lp: LinearProgram, infeasible: str
+    mdp: TabularMdp, lp: LinearProgram, basis: np.ndarray
 ) -> tuple[PolicyTable, OccupancyMeasure]:
-    """Solve an occupancy LP; the policy of its optimum and that policy's exact occupancy."""
-    sol = solve(lp)
-    if sol.status == INFEASIBLE:
-        raise InfeasibleConstraintError(infeasible)
+    """Solve an occupancy LP from `basis` and certify the solution; the policy
+    of its optimum and that policy's exact occupancy."""
+    sol = solve(lp, basis)
     if sol.status != OPTIMAL:
         raise SolverError(f"unexpected LP status {sol.status}")
+    residual = max(
+        np.abs(lp.eq_lhs @ sol.x - lp.eq_rhs).max(),
+        (lp.ub_lhs @ sol.x - lp.ub_rhs).max(initial=0.0),
+    )
+    gap = abs(sol.objective_value - np.concatenate([lp.eq_rhs, lp.ub_rhs]) @ sol.dual)
+    bound = CERTIFY_TOL * (1.0 + abs(sol.objective_value))
+    if not (residual <= bound and gap <= bound):
+        raise SolverError(f"LP solution not certified: primal residual {residual:.3g}, "
+                          f"duality gap {gap:.3g}, bound {bound:.3g}")
     S, A = mdp.num_states, mdp.num_actions
     d_raw = np.maximum(sol.x[: S * A].reshape(S, A), 0.0)
     d_raw /= d_raw.sum()
@@ -138,7 +186,12 @@ def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec
     if r.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("reward shape does not match the MDP")
     lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
-    policy, occ = _solve_occupancy(mdp, lp, "no policy satisfies the cost budget")
+    actions, _ = _crash(
+        mdp, plan_unconstrained(mdp, r).actions(), constraint, "no policy satisfies the cost budget"
+    )
+    # The cost slack completes the basis.
+    basis = np.append(_flow_basis(mdp, actions), lp.num_vars)
+    policy, occ = _solve_occupancy(mdp, lp, basis)
     value = float((occ.d * r.values).sum() / (1.0 - mdp.discount))
     return PlanResult(policy=policy, occupancy=occ, value=value)
 
@@ -183,7 +236,15 @@ def mimic_policy(
     lp = _occupancy_lp(
         target_mdp, objective, constraint, extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
     )
-    policy, occ = _solve_occupancy(target_mdp, lp, "no feasible occupancy satisfies the constraints")
+    actions, d = _crash(
+        target_mdp, expert.actions(), constraint, "no feasible occupancy satisfies the constraints"
+    )
+    # Per support row: w_i where the crash falls short of d_E,i, else the row's slack.
+    first_slack = lp.num_vars + lp.ub_rhs.size - k
+    row_basis = np.where(d_e[support] > d[support], sa + np.arange(k), first_slack + np.arange(k))
+    cost_slack = np.arange(lp.num_vars, first_slack)  # empty without a constraint
+    basis = np.concatenate([_flow_basis(target_mdp, actions), cost_slack, row_basis])
+    policy, occ = _solve_occupancy(target_mdp, lp, basis)
     l1 = float(np.abs(occ.d.ravel() - d_e).sum())
     return MimicResult(policy=policy, occupancy=occ, l1_distance=l1)
 

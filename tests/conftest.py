@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from rewardcentroids import lp as lp_module
+from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
 from rewardcentroids.mdp import PolicyTable, TabularMdp
 
 
@@ -48,3 +50,20 @@ def rng():
 
 def det_policy(actions, num_actions: int) -> PolicyTable:
     return PolicyTable.from_actions(actions, num_actions)
+
+
+def solve_permuted(program: LinearProgram, perm: np.ndarray) -> np.ndarray:
+    """x of `program` solved cold with its columns and its tie weights permuted
+    by perm, put back in the original column order."""
+    weights = lp_module.tie_objective(program.num_vars)
+    permuted = LinearProgram(
+        program.objective[perm], program.eq_lhs[:, perm], program.eq_rhs,
+        program.ub_lhs[:, perm], program.ub_rhs,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "tie_objective", lambda n: weights[perm])
+        sol = solve(permuted)
+    assert sol.status == OPTIMAL
+    x = np.empty(program.num_vars)
+    x[perm] = sol.x
+    return x

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rewardcentroids import lp, mdp as mdp_module
+from rewardcentroids import lp, mdp as mdp_module, planning
 from rewardcentroids.cli import main
 from rewardcentroids.mdp import PolicyTable, RewardTable, TabularMdp
 from rewardcentroids.planning import ConstraintSpec
@@ -49,9 +50,12 @@ def test_domain_error_exit_code(chain_files, capsys):
 
 
 def test_solver_error_exit_code(chain_files, capsys, monkeypatch):
+    # The cost is the reward and the budget binds: the greedy policy is over
+    # budget, so the LP starts from the min-cost policy and must pivot.
     save_reward(RewardTable([[0.0, 1.0], [1.0, 0.0]]), chain_files / "r.json")
     save_constraint(
-        ConstraintSpec(cost=RewardTable(np.ones((2, 2))), budget=5.0), chain_files / "c.json"
+        ConstraintSpec(cost=RewardTable([[0.0, 1.0], [1.0, 0.0]]), budget=1.0),
+        chain_files / "c.json",
     )
     monkeypatch.setattr(lp, "MAX_ITERS", 1)
     code = main([
@@ -61,6 +65,28 @@ def test_solver_error_exit_code(chain_files, capsys, monkeypatch):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_uncertified_solution_exit_code(chain_files, capsys, monkeypatch):
+    save_reward(RewardTable([[0.0, 1.0], [1.0, 0.0]]), chain_files / "r.json")
+    save_constraint(
+        ConstraintSpec(cost=RewardTable(np.ones((2, 2))), budget=5.0), chain_files / "c.json"
+    )
+
+    def perturbed_solve(program, basis=None):
+        sol = lp.solve(program, basis)
+        return dataclasses.replace(sol, x=sol.x + 1e-6)
+
+    monkeypatch.setattr(planning, "solve", perturbed_solve)
+    code = main([
+        "plan", "--mdp", str(chain_files / "mdp.json"),
+        "--reward", str(chain_files / "r.json"),
+        "--constraint", str(chain_files / "c.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LP solution not certified")
+    assert "Traceback" not in err
 
 
 def test_policy_iteration_cap_exit_code(chain_files, capsys, monkeypatch):

@@ -14,7 +14,10 @@ from rewardcentroids.lp import (
     LinearProgram,
     LpSolution,
     solve,
+    tie_objective,
 )
+
+from conftest import solve_permuted
 
 NO_EQ = dict(eq_lhs=np.zeros((0, 0)), eq_rhs=[])
 
@@ -61,11 +64,13 @@ class TestExamples:
         )
         assert solve(lp).status == INFEASIBLE
 
-    def test_degenerate_face_resolved_by_lowest_index(self):
+    def test_degenerate_face_resolved_by_tie_weights(self):
         sol = solve(ub_program([-1.0, -1.0], [[1.0, 1.0]], [1.0]))
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0)
-        assert sol.x == pytest.approx([1.0, 0.0])
+        # both vertices are optimal; the one with the smaller tie weight wins
+        expected = [1.0, 0.0] if tie_objective(2)[0] < tie_objective(2)[1] else [0.0, 1.0]
+        assert sol.x == pytest.approx(expected)
 
     def test_unbounded(self):
         sol = solve(ub_program([-1.0], [[-1.0]], [0.0]))
@@ -240,4 +245,86 @@ class TestDegeneracy:
     def test_solution_type(self):
         sol = solve(ub_program([-1.0], [[1.0]], [1.0]))
         assert isinstance(sol, LpSolution)
-        assert sol.pivots == (0, 1)  # no artificial column, one phase-2 pivot
+        assert sol.pivots == (0, 1, 0)  # no artificial column, one phase-2 pivot, no tie pivot
+
+
+class TestTieStage:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        dup=st.integers(1, 4),
+        as_equality=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_duplicated_columns_same_x_under_permutation(self, n, m, dup, as_equality, seed):
+        # Duplicated columns give a face of optima whenever one of them
+        # carries mass; the tie stage must pick the same point of it.
+        rng = np.random.default_rng(seed)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        copies = rng.integers(0, n, size=dup)
+        c = np.concatenate([c, c[copies]])
+        A = np.hstack([A, A[:, copies]])
+        b = rng.choice([0.0, 0.0, 1.0, 2.0], size=m)
+        total = np.ones((1, c.size))
+        if as_equality:
+            program = LinearProgram(c, total, [2.0], A, b)
+        else:
+            program = ub_program(c, np.vstack([A, total]), np.append(b, 2.0))
+        sol = solve(program)
+        if sol.status != OPTIMAL:
+            assert sol.status == INFEASIBLE and as_equality
+            return
+        perm = rng.permutation(c.size)
+        assert np.abs(solve_permuted(program, perm) - sol.x).max() <= 1e-9
+
+    def test_tie_pivots_are_counted(self):
+        # min 0 over x1 + x2 <= 1 with x1 = 1 forced: the whole feasible
+        # segment is optimal and the tie weights choose its end x2 = 0.
+        program = LinearProgram([0.0, 0.0], [[1.0, 1.0]], [1.0], np.zeros((0, 2)), [])
+        sol = solve(program, basis=[int(np.argmax(tie_objective(2)))])
+        assert sol.pivots == (0, 0, 1)
+        assert sol.x[np.argmin(tie_objective(2))] == pytest.approx(1.0)
+
+
+class TestStartBasis:
+    def test_same_answer_as_cold_start(self, rng):
+        # Equality rows built so that a random set of columns is a feasible
+        # basis; duplicated columns make the optimum non-unique.
+        for _ in range(50):
+            m, n = 3, 6
+            A = rng.normal(size=(m, n))
+            A = np.hstack([A, A[:, :2]])
+            start = rng.choice(n, size=m, replace=False)
+            b = A[:, start] @ rng.uniform(0.5, 1.5, size=m)
+            c = rng.integers(-2, 3, size=n).astype(float)
+            c = np.concatenate([c, c[:2]])
+            program = LinearProgram(c, A, b, np.ones((1, n + 2)), [10.0])
+            cold = solve(program)
+            warm = solve(program, basis=np.append(start, n + 2))
+            assert warm.status == cold.status
+            if cold.status != OPTIMAL:
+                continue
+            assert warm.pivots[0] == 0
+            assert np.abs(warm.x - cold.x).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([0], "one distinct"),
+            ([0, 0], "one distinct"),
+            ([0, 5], "one distinct"),
+            ([0, 1], "singular"),
+            ([0, 4], "not primal feasible"),
+        ],
+    )
+    def test_bad_start_basis_is_domain_error(self, basis, message):
+        # x0 + x1 = 1 with x0, x1 the same column, and x2 - x3 <= -1, whose
+        # slack (column 4) would start at -1.
+        program = LinearProgram(
+            [1.0, 1.0, 0.0, 0.0], [[1.0, 1.0, 0.0, 0.0]], [1.0],
+            [[0.0, 0.0, 1.0, -1.0]], [-1.0],
+        )
+        with pytest.raises(DomainError, match=message):
+            solve(program, basis=basis)

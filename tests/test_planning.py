@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rewardcentroids import planning
 from rewardcentroids.centroids import CentroidRequest, centroid_opt
-from rewardcentroids.errors import DomainError, InfeasibleConstraintError
+from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
 from rewardcentroids.geometry import BehaviorModel, is_feasible
 from rewardcentroids.gridworld import run_scenario
 from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
@@ -31,7 +32,12 @@ from rewardcentroids.planning import (
     suboptimality_bound,
 )
 
-from conftest import det_policy, one_state_mdp
+from conftest import det_policy, one_state_mdp, solve_permuted
+
+ROOT = Path(__file__).resolve().parent.parent
+# The scenarios that solve an occupancy LP: six MIMIC programs, then two
+# constrained plans.
+LP_SCENARIOS = ("fig2b", "fig2d", "fig3b", "fig3d", "fig4a", "fig4d", "fig4e", "figG4d")
 
 
 def flow_matrix(mdp):
@@ -110,7 +116,9 @@ class TestConstrained:
         assert plan.policy.probs[0] == pytest.approx([0.0, 1.0])
         assert plan.value == pytest.approx(0.0, abs=1e-9)
 
-    def test_unavoidable_cost_is_infeasible(self):
+    def test_unavoidable_cost_is_infeasible(self, monkeypatch):
+        # The min-cost policy is over budget, so no LP is solved.
+        monkeypatch.setattr(planning, "solve", None)
         mdp = one_state_mdp(0.9)
         with pytest.raises(InfeasibleConstraintError):
             plan_constrained(
@@ -137,21 +145,72 @@ class TestConstrained:
         with pytest.raises(DomainError):
             ConstraintSpec(cost=RewardTable([[0.0]]), budget=-1.0)
 
-    def test_gridworld_program_takes_few_pivots(self, monkeypatch, tmp_path):
-        # figG4d's 500-variable, 102-row program: about 400 pivots with
-        # largest-coefficient pricing, 6040 with Bland's rule throughout.
-        solutions = []
+    def test_gridworld_program_starts_at_its_optimum(self, gridworld_programs):
+        # figG4d's 500-variable, 101-row program: the greedy policy of its
+        # reward meets the budget, so its basis is optimal and the solve takes
+        # no phase-1 and no phase-2 pivot (about 400 from a cold start).
+        program, basis = gridworld_programs[LP_SCENARIOS.index("figG4d")]
+        sol = solve(program, basis)
+        assert sol.status == OPTIMAL
+        assert sol.pivots[:2] == (0, 0)
 
-        def recording_solve(program):
-            solutions.append(solve(program))
-            return solutions[-1]
 
-        monkeypatch.setattr(planning, "solve", recording_solve)
-        config = Path(__file__).resolve().parent.parent / "configs" / "figG4d.json"
-        run_scenario("figG4d", config, tmp_path)
-        assert len(solutions) == 1
-        assert solutions[0].status == OPTIMAL
-        assert sum(solutions[0].pivots) < 1000
+@pytest.fixture(scope="module")
+def gridworld_programs(tmp_path_factory):
+    """(program, starting basis) of each scenario in LP_SCENARIOS."""
+    programs = []
+
+    def recording_solve(program, basis=None):
+        programs.append((program, basis))
+        return solve(program, basis)
+
+    out = tmp_path_factory.mktemp("lp_scenarios")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planning, "solve", recording_solve)
+        for name in LP_SCENARIOS:
+            run_scenario(name, ROOT / "configs" / f"{name}.json", out)
+    assert len(programs) == len(LP_SCENARIOS)
+    return programs
+
+
+class TestUniqueOptimum:
+    @pytest.mark.parametrize("index", range(len(LP_SCENARIOS)), ids=LP_SCENARIOS)
+    def test_same_x_from_any_start_and_column_order(self, gridworld_programs, index):
+        program, basis = gridworld_programs[index]
+        warm = solve(program, basis)
+        cold = solve(program)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.pivots[0] == 0 and cold.pivots[0] > 0
+        perm = np.random.default_rng(index).permutation(program.num_vars)
+        assert np.abs(warm.x - cold.x).max() <= 1e-12
+        assert np.abs(solve_permuted(program, perm) - warm.x).max() <= 1e-12
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("field", ["x", "dual"])
+    @pytest.mark.parametrize("planner", ["plan_constrained", "mimic_policy"])
+    def test_perturbed_solution_is_refused(self, monkeypatch, rng, field, planner):
+        # Moving x breaks the initial state's flow row; moving its multiplier
+        # opens a duality gap of (1 - gamma) * 1e-6.
+        def perturbed_solve(program, basis=None):
+            sol = solve(program, basis)
+            moved = getattr(sol, field).copy()
+            moved[0] += 1e-6
+            return dataclasses.replace(sol, **{field: moved})
+
+        mdp = random_mdp(4, 2, 0.8, rng)
+        r = RewardTable(rng.normal(size=(4, 2)))
+        expert = random_policy(4, 2, rng)
+
+        def run():
+            if planner == "plan_constrained":
+                return plan_constrained(mdp, r, slack_constraint(mdp))
+            return mimic_policy(mdp, expert, mdp)
+
+        run()  # the unperturbed solution is certified
+        monkeypatch.setattr(planning, "solve", perturbed_solve)
+        with pytest.raises(SolverError, match="not certified"):
+            run()
 
 
 class TestPolicyFromOccupancy:
