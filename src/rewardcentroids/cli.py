@@ -17,10 +17,11 @@ from . import mclab
 from .centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_opt, constant_fit, affine_fit
 from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate_birl, estimate_mce, estimate_opt, simulate_expert
-from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, eta_birl, eta_mce
+from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
-from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp
+from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp, random_mdp
 from .planning import mimic_policy, plan
+from .render import render_grid_svg
 from . import serialization as ser
 
 
@@ -155,8 +156,6 @@ def _check_prop2(n: int, seed: int) -> dict:
 
 
 def _prop4_instance(seed: int) -> TabularMdp:
-    from .mdp import random_mdp
-
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B9))
     return random_mdp(2, 2, 0.5, rng)
 
@@ -164,8 +163,6 @@ def _prop4_instance(seed: int) -> TabularMdp:
 def _check_prop4(n: int, seed: int) -> dict:
     mdp = _prop4_instance(seed)
     params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
-    from .geometry import bounding_box
-
     lo, hi = bounding_box(params, mdp.discount)
     box_volume = (hi - lo) ** (mdp.num_states * mdp.num_actions)
     target = 2.0**mdp.num_states  # c1 = c2 = 1
@@ -214,8 +211,6 @@ def _check_centroid_opt(n: int, seed: int) -> dict:
 
 
 def _check_centroid_manifold(n: int, seed: int) -> dict:
-    from .mdp import random_mdp
-
     rng = np.random.Generator(np.random.Philox(key=seed ^ 0xA5A5A5))
     mdp = random_mdp(3, 2, 0.8, rng)
     probs = rng.dirichlet(np.ones(2), size=3) * 0.8 + 0.1
@@ -324,9 +319,11 @@ def _cmd_render(args) -> int:
     occupancy = ser._load_json(args.occupancy, lambda doc: OccupancyMeasure(doc["d"])) if args.occupancy else None
     policy = ser.load_policy(args.policy) if args.policy else None
     support = ser.load_support(args.support) if args.support else None
-    from .render import render_grid_svg
-
-    render_grid_svg(occupancy, policy, spec, args.out, support=support)
+    try:
+        render_grid_svg(occupancy, policy, spec, args.out, support=support)
+    except DomainError as exc:
+        files = ", ".join(f for f in (args.spec, args.occupancy, args.policy) if f)
+        raise DomainError(f"cannot render {files}: {exc}") from exc
     return 0
 
 

@@ -146,6 +146,14 @@ def shaping(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     return v[..., :, None] - mdp.discount * np.einsum("sap,...p->...sa", mdp.transitions, v)
 
 
+def shaping_matrix(mdp: TabularMdp) -> np.ndarray:
+    """The (S*A, S) matrix 1[s' = s] - gamma * p(s'|s, a), row s*A + a (Puterman 1994, 6.9)."""
+    S, A = mdp.num_states, mdp.num_actions
+    mat = np.repeat(np.eye(S), A, axis=0)
+    mat -= mdp.discount * mdp.transitions.reshape(S * A, S)
+    return mat
+
+
 def t_operator(
     mdp: TabularMdp, det_policy: PolicyTable, v: np.ndarray, gaps: AdvantageGap
 ) -> RewardTable:
@@ -291,15 +299,9 @@ def t_matrix(mdp: TabularMdp, det_policy: PolicyTable) -> np.ndarray:
     actions = _require_deterministic(det_policy, "t_matrix")
     S, A = mdp.num_states, mdp.num_actions
     mat = np.zeros((S * A, S * A))
-    gap_col = S
-    for s in range(S):
-        for a in range(A):
-            row = s * A + a
-            mat[row, :S] = -mdp.discount * mdp.transitions[s, a]
-            mat[row, s] += 1.0
-            if a != actions[s]:
-                mat[row, gap_col] = 1.0
-                gap_col += 1
+    mat[:, :S] = shaping_matrix(mdp)
+    free = np.flatnonzero(np.tile(np.arange(A), S) != np.repeat(actions, A))
+    mat[free, S + np.arange(free.size)] = 1.0
     return mat
 
 

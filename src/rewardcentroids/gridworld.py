@@ -1,8 +1,9 @@
 """Gridworld construction and the end-to-end scenario pipeline.
 
-The grid has five actions (left, right, up, down, stay); directional moves
-are deterministic, moves off the grid keep the agent in place, and a
-"reversed" environment swaps left/right and up/down while stay is unchanged.
+The grid has five actions (left, right, up, down, stay), moving by
+`render.MOVES`; directional moves are deterministic, moves off the grid keep
+the agent in place, and a "reversed" environment moves by the negated table,
+which swaps left/right and up/down while stay is unchanged.
 Blocked cells become unit-cost states under a zero budget.
 
 A scenario config wires one experiment: an expert fixture observed in a
@@ -41,11 +42,11 @@ from .mdp import (
     reachable_support,
 )
 from .planning import ConstraintSpec, bc_policy, best_case_reward, mimic_policy, plan
-from .render import render_grid_svg
+from .render import MOVES, render_grid_svg
 from .serialization import _known_keys, _load_json, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
-NUM_GRID_ACTIONS = 5
+NUM_GRID_ACTIONS = len(MOVES)
 
 
 @dataclass(frozen=True)
@@ -61,20 +62,19 @@ class GridworldSpec:
     expert_policy_file: str | None = None
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DomainError("grid dimensions must be positive")
-        if not (0.0 <= self.gamma < 1.0):
-            raise DomainError("gamma must lie in [0, 1)")
-        cells = [self.initial_cell, *self.blocked_cells]
-        for (x, y) in cells:
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise DomainError(f"cell {(x, y)} outside the grid")
-        if self.initial_cell in self.blocked_cells:
-            raise DomainError("the initial cell cannot be blocked")
         object.__setattr__(self, "initial_cell", tuple(self.initial_cell))
         object.__setattr__(
             self, "blocked_cells", tuple(tuple(c) for c in self.blocked_cells)
         )
+        if self.width < 1 or self.height < 1:
+            raise DomainError("grid dimensions must be positive")
+        if not (0.0 <= self.gamma < 1.0):
+            raise DomainError("gamma must lie in [0, 1)")
+        for (x, y) in (self.initial_cell, *self.blocked_cells):
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise DomainError(f"cell {(x, y)} outside the grid")
+        if self.initial_cell in self.blocked_cells:
+            raise DomainError("the initial cell cannot be blocked")
 
     @property
     def num_states(self) -> int:
@@ -105,25 +105,13 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
 
 def build_gridworld(spec: GridworldSpec) -> tuple[TabularMdp, ConstraintSpec | None]:
     """Deterministic grid MDP plus the hard constraint induced by blocked cells."""
-    S = spec.num_states
-    moves = {LEFT: (-1, 0), RIGHT: (1, 0), UP: (0, -1), DOWN: (0, 1), STAY: (0, 0)}
-    if spec.reversed:
-        moves = {
-            LEFT: moves[RIGHT],
-            RIGHT: moves[LEFT],
-            UP: moves[DOWN],
-            DOWN: moves[UP],
-            STAY: moves[STAY],
-        }
+    S, W = spec.num_states, spec.width
+    dx, dy = (-np.array(MOVES) if spec.reversed else np.array(MOVES)).T
+    states = np.arange(S)[:, None]
+    y, x = np.divmod(states, W)
+    inside = (0 <= x + dx) & (x + dx < W) & (0 <= y + dy) & (y + dy < spec.height)
     p = np.zeros((S, NUM_GRID_ACTIONS, S))
-    for y in range(spec.height):
-        for x in range(spec.width):
-            s = spec.state_index(x, y)
-            for a, (dx, dy) in moves.items():
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < spec.width and 0 <= ny < spec.height):
-                    nx, ny = x, y
-                p[s, a, spec.state_index(nx, ny)] = 1.0
+    p[states, np.arange(NUM_GRID_ACTIONS), np.where(inside, states + dy * W + dx, states)] = 1.0
     mdp = TabularMdp(
         num_states=S,
         num_actions=NUM_GRID_ACTIONS,
@@ -134,8 +122,7 @@ def build_gridworld(spec: GridworldSpec) -> tuple[TabularMdp, ConstraintSpec | N
     constraint = None
     if spec.blocked_cells:
         cost = np.zeros((S, NUM_GRID_ACTIONS))
-        for (x, y) in spec.blocked_cells:
-            cost[spec.state_index(x, y), :] = 1.0
+        cost[[spec.state_index(x, y) for (x, y) in spec.blocked_cells]] = 1.0
         constraint = ConstraintSpec(cost=RewardTable(cost), budget=0.0)
     return mdp, constraint
 

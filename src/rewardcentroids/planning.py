@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
-from .geometry import AdvantageGap, t_operator
+from .geometry import AdvantageGap, shaping_matrix, t_operator
 from .lp import OPTIMAL, LinearProgram, solve
 from .mdp import (
     OccupancyMeasure,
@@ -78,19 +78,6 @@ def plan_unconstrained(mdp: TabularMdp, r: RewardTable) -> PolicyTable:
     return greedy_policy(value_iteration(mdp, r))
 
 
-def _flow_rows(mdp: TabularMdp) -> tuple[np.ndarray, np.ndarray]:
-    S, A = mdp.num_states, mdp.num_actions
-    lhs = np.zeros((S, S * A))
-    for s in range(S):
-        lhs[s, s * A : (s + 1) * A] += 1.0
-    # minus gamma * p(s | s', a') on column (s', a')
-    inflow = mdp.discount * np.transpose(mdp.transitions, (2, 0, 1)).reshape(S, S * A)
-    lhs -= inflow
-    rhs = np.zeros(S)
-    rhs[mdp.initial_state] = 1.0 - mdp.discount
-    return lhs, rhs
-
-
 def _occupancy_lp(
     mdp: TabularMdp,
     objective: np.ndarray,
@@ -100,9 +87,10 @@ def _occupancy_lp(
 ) -> LinearProgram:
     S, A = mdp.num_states, mdp.num_actions
     n = S * A + extra_vars
-    flow_lhs, eq_rhs = _flow_rows(mdp)
     eq_lhs = np.zeros((S, n))
-    eq_lhs[:, : S * A] = flow_lhs
+    eq_lhs[:, : S * A] = shaping_matrix(mdp).T  # the flow rows
+    eq_rhs = np.zeros(S)
+    eq_rhs[mdp.initial_state] = 1.0 - mdp.discount
     ub_lhs = np.zeros((0, n))
     ub_rhs = np.zeros(0)
     if constraint is not None:

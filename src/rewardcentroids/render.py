@@ -4,22 +4,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError
 from .mdp import OccupancyMeasure, PolicyTable
 
 CELL = 32
 MARGIN = 2
 
-# action order: left, right, up, down, stay
-ARROW_DIRS = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+# The one action table, as (dx, dy) per action: left, right, up, down, stay.
+# A reversed grid moves by the negated table.
+MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))
 OCC_COLOR = (21, 72, 161)  # darkest blue at maximal occupancy
 BLOCKED_FILL = "#8b5a2b"
 INITIAL_STROKE = "#cc0000"
 GLYPH_MIN_PROB = 1e-6
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _cell_fill(intensity: float) -> str:
@@ -29,28 +28,23 @@ def _cell_fill(intensity: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _arrow(cx: float, cy: float, action: int, prob: float) -> str:
-    dx, dy = ARROW_DIRS[action]
+def _glyph(cx: float, cy: float, action: int, prob: float) -> str:
+    """An arrow scaled by prob along the action's move; a dot for stay."""
+    dx, dy = MOVES[action]
+    if dx == dy == 0:
+        r = max(1.2, 0.16 * CELL * prob)
+        return f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="#202020"/>'
     half = 0.38 * CELL * prob
     head = max(2.0, 0.22 * CELL * prob)
-    x0, y0 = cx - dx * half, cy - dy * half
     x1, y1 = cx + dx * half, cy + dy * half
     px, py = -dy, dx  # perpendicular
-    tip = (x1 + dx * head, y1 + dy * head)
-    left = (x1 + px * head * 0.6, y1 + py * head * 0.6)
-    right = (x1 - px * head * 0.6, y1 - py * head * 0.6)
-    parts = [
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-        f'stroke="#202020" stroke-width="{_fmt(max(0.8, 2.2 * prob))}"/>',
-        f'<polygon points="{_fmt(tip[0])},{_fmt(tip[1])} {_fmt(left[0])},{_fmt(left[1])} '
-        f'{_fmt(right[0])},{_fmt(right[1])}" fill="#202020"/>',
-    ]
-    return "".join(parts)
-
-
-def _stay_glyph(cx: float, cy: float, prob: float) -> str:
-    radius = max(1.2, 0.16 * CELL * prob)
-    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="#202020"/>'
+    return (
+        f'<line x1="{cx - dx * half:.2f}" y1="{cy - dy * half:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+        f'stroke="#202020" stroke-width="{max(0.8, 2.2 * prob):.2f}"/>'
+        f'<polygon points="{x1 + dx * head:.2f},{y1 + dy * head:.2f} '
+        f"{x1 + px * head * 0.6:.2f},{y1 + py * head * 0.6:.2f} "
+        f'{x1 - px * head * 0.6:.2f},{y1 - py * head * 0.6:.2f}" fill="#202020"/>'
+    )
 
 
 def render_grid_svg(
@@ -69,14 +63,21 @@ def render_grid_svg(
     """
     if occupancy is None and policy is None:
         raise DomainError("render needs an occupancy, a policy, or both")
-    width_px = spec.width * CELL + 2 * MARGIN
+    S, W = spec.num_states, spec.width
+    tables = {"occupancy": occupancy and occupancy.d, "policy": policy and policy.probs}
+    for what, table in tables.items():
+        if table is not None and table.shape != (S, len(MOVES)):
+            raise DomainError(
+                f"{what} has shape {table.shape}, not ({S}, {len(MOVES)}) for a {W}x{spec.height} grid"
+            )
+    width_px = W * CELL + 2 * MARGIN
     height_px = spec.height * CELL + 2 * MARGIN
     blocked = {spec.state_index(x, y) for (x, y) in spec.blocked_cells}
     shades = None
     if occupancy is not None:
         marginal = occupancy.state_marginal()
         top = marginal.max()
-        shades = marginal / top if top > 0 else marginal
+        shades = (marginal / top if top > 0 else marginal).tolist()
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -85,36 +86,26 @@ def render_grid_svg(
         f'viewBox="0 0 {width_px} {height_px}">',
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
     ]
-    for y in range(spec.height):
-        for x in range(spec.width):
-            s = spec.state_index(x, y)
-            x0, y0 = MARGIN + x * CELL, MARGIN + y * CELL
-            if s in blocked:
-                fill = BLOCKED_FILL
-            elif shades is not None:
-                fill = _cell_fill(float(shades[s]))
-            else:
-                fill = "#ffffff"
-            lines.append(
-                f'<rect x="{x0}" y="{y0}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}" stroke="#c8c8c8" stroke-width="1"/>'
-            )
+    for s in range(S):
+        y, x = divmod(s, W)
+        if s in blocked:
+            fill = BLOCKED_FILL
+        elif shades is not None:
+            fill = _cell_fill(shades[s])
+        else:
+            fill = "#ffffff"
+        lines.append(
+            f'<rect x="{MARGIN + x * CELL}" y="{MARGIN + y * CELL}" width="{CELL}" height="{CELL}" '
+            f'fill="{fill}" stroke="#c8c8c8" stroke-width="1"/>'
+        )
     if policy is not None:
-        visible = None if support is None else {int(s) for s in support}
-        for y in range(spec.height):
-            for x in range(spec.width):
-                s = spec.state_index(x, y)
-                if s in blocked or (visible is not None and s not in visible):
-                    continue
-                cx, cy = MARGIN + (x + 0.5) * CELL, MARGIN + (y + 0.5) * CELL
-                for a in range(policy.probs.shape[1]):
-                    prob = float(policy.probs[s, a])
-                    if prob < GLYPH_MIN_PROB:
-                        continue
-                    if a in ARROW_DIRS:
-                        lines.append(_arrow(cx, cy, a, prob))
-                    else:
-                        lines.append(_stay_glyph(cx, cy, prob))
+        visible = set(range(S)) if support is None else {int(s) for s in support}
+        visible -= blocked
+        probs = policy.probs.tolist()
+        for s, a in np.argwhere(policy.probs >= GLYPH_MIN_PROB).tolist():
+            if s in visible:
+                y, x = divmod(s, W)
+                lines.append(_glyph(MARGIN + (x + 0.5) * CELL, MARGIN + (y + 0.5) * CELL, a, probs[s][a]))
     ix, iy = spec.initial_cell
     lines.append(
         f'<rect x="{MARGIN + ix * CELL + 1}" y="{MARGIN + iy * CELL + 1}" '

@@ -206,6 +206,7 @@ def test_gridworld_build_and_render(tmp_path, capsys):
 MALFORMED_SPEC = {"height": 2, "initial_cell": [0, 0], "gamma": 0.5}  # no "width"
 MALFORMED_MDP = {"num_states": "x", "num_actions": 2, "initial_state": 0,
                  "transitions": [[[1.0], [1.0]]], "gamma": 0.5}
+GRID_3X3 = {"width": 3, "height": 3, "initial_cell": [0, 0], "gamma": 0.5}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG2C = json.loads((CONFIGS / "fig2c.json").read_text())
 SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
@@ -254,9 +255,15 @@ SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("s.json", json.dumps({**MALFORMED_SPEC, "width": 2, "blocked": [[1, 1]]}),
          ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
+        # tables of 4 states, or of 4 actions, for the 9-state, 5-action grid of grid3.json
+        ("p.json", json.dumps({"probs": [[0.0, 0.0, 0.0, 0.0, 1.0]] * 4}),
+         ["render", "--spec", "{dir}/grid3.json", "--policy", "{path}", "--out", "{dir}/g.svg"]),
+        ("o.json", json.dumps({"d": [[1 / 36] * 4] * 9}),
+         ["render", "--spec", "{dir}/grid3.json", "--occupancy", "{path}", "--out", "{dir}/g.svg"]),
     ],
 )
 def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content, command):
+    (tmp_path / "grid3.json").write_text(json.dumps(GRID_3X3))
     path = tmp_path / name
     if content is not None:
         path.write_text(content)

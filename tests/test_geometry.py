@@ -13,6 +13,7 @@ from rewardcentroids.geometry import (
     is_feasible,
     is_in_bounded_set,
     shaping,
+    shaping_matrix,
     t_matrix,
     t_matrix_determinant_check,
     t_operator,
@@ -105,10 +106,16 @@ class TestOperators:
             v = rng.uniform(-3.0, 3.0, size=(4, 5, S))
             batched = shaping(mdp, v) + eta.values
             assert batched.shape == (4, 5, S, A)
+            matrix = shaping_matrix(mdp)
+            assert matrix.shape == (S * A, S)
             for i, j in np.ndindex(4, 5):
                 r = u_operator(mdp, eta, v[i, j]).values
                 bound = 2.0 * np.finfo(float).eps * (1.0 + np.abs(r).max())
                 assert np.abs(batched[i, j] - r).max() <= bound
+                # a product of S terms adds up to S roundings of |matrix| @ |v|
+                product_error = S * np.finfo(float).eps * (np.abs(matrix) @ np.abs(v[i, j])).max()
+                by_matrix = (matrix @ v[i, j]).reshape(S, A) + eta.values
+                assert np.abs(by_matrix - r).max() <= bound + product_error
 
     def test_u_operator_constant_values(self, rng):
         mdp = random_mdp(3, 2, 0.4, rng)

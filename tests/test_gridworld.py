@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from rewardcentroids.errors import DomainError
 from rewardcentroids.gridworld import (
     DOWN,
     LEFT,
+    NUM_GRID_ACTIONS,
     RIGHT,
     STAY,
     UP,
@@ -16,7 +18,10 @@ from rewardcentroids.gridworld import (
     run_scenario,
 )
 from rewardcentroids.mdp import OccupancyMeasure, PolicyTable
-from rewardcentroids.render import render_grid_svg
+from rewardcentroids.render import GLYPH_MIN_PROB, render_grid_svg
+from rewardcentroids.serialization import save_policy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_spec(**kwargs):
@@ -25,7 +30,34 @@ def small_spec(**kwargs):
     return GridworldSpec(**base)
 
 
+def loop_transitions(spec: GridworldSpec) -> np.ndarray:
+    """Reference P: one move per (x, y, action), written out cell by cell."""
+    moves = {LEFT: (-1, 0), RIGHT: (1, 0), UP: (0, -1), DOWN: (0, 1), STAY: (0, 0)}
+    if spec.reversed:
+        moves = {LEFT: (1, 0), RIGHT: (-1, 0), UP: (0, 1), DOWN: (0, -1), STAY: (0, 0)}
+    p = np.zeros((spec.num_states, NUM_GRID_ACTIONS, spec.num_states))
+    for y in range(spec.height):
+        for x in range(spec.width):
+            s = spec.state_index(x, y)
+            for a, (dx, dy) in moves.items():
+                nx, ny = x + dx, y + dy
+                if not (0 <= nx < spec.width and 0 <= ny < spec.height):
+                    nx, ny = x, y
+                p[s, a, spec.state_index(nx, ny)] = 1.0
+    return p
+
+
 class TestBuild:
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_transitions_match_the_loop_reference_bit_for_bit(self, reversed_):
+        for width in range(1, 7):
+            for height in range(1, 7):
+                spec = GridworldSpec(width, height, (width - 1, 0), 0.5, reversed=reversed_)
+                p = build_gridworld(spec)[0].transitions
+                expected = loop_transitions(spec)
+                assert p.dtype == expected.dtype and p.shape == expected.shape
+                assert p.tobytes() == expected.tobytes()
+
     def test_full_grid_dimensions(self):
         spec = GridworldSpec(width=10, height=10, initial_cell=(2, 5), gamma=0.7)
         mdp, constraint = build_gridworld(spec)
@@ -80,6 +112,12 @@ class TestBuild:
         with pytest.raises(DomainError):
             small_spec(gamma=1.0)
 
+    @pytest.mark.parametrize("initial", [(0, 0), [0, 0]])
+    @pytest.mark.parametrize("blocked", [((0, 0),), [[0, 0]]])
+    def test_blocked_initial_cell_rejected_as_tuples_or_lists(self, initial, blocked):
+        with pytest.raises(DomainError):
+            small_spec(initial_cell=initial, blocked_cells=blocked)
+
 
 class TestRender:
     def test_requires_some_content(self, tmp_path):
@@ -113,6 +151,14 @@ class TestRender:
             support={0, 1},
         )
         assert path.read_text().count("<circle") == 2
+
+    def test_glyph_drawn_from_the_threshold_on(self, tmp_path):
+        below = np.nextafter(GLYPH_MIN_PROB, 0.0)
+        probs = np.array([[GLYPH_MIN_PROB, below, 0.0, 0.0, 1.0 - GLYPH_MIN_PROB - below]])
+        spec = GridworldSpec(width=1, height=1, initial_cell=(0, 0), gamma=0.5)
+        text = render_grid_svg(None, PolicyTable(probs), spec, tmp_path / "t.svg").read_text()
+        assert text.count("<line") == 1  # LEFT at exactly the threshold; RIGHT just below it is not drawn
+        assert text.count("<circle") == 1
 
     def test_byte_determinism(self, tmp_path):
         spec = small_spec(blocked_cells=((2, 2),))
@@ -186,3 +232,16 @@ class TestScenario:
         config_path.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
             run_scenario("tiny", config_path, tmp_path / "out")
+
+
+def test_fixture_script_reproduces_the_committed_experts(tmp_path):
+    location = ROOT / "scripts" / "make_fixtures.py"
+    module_spec = importlib.util.spec_from_file_location("make_fixtures", location)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    for name, expert in (
+        ("expert_right_stop.json", script.right_stop_expert()),
+        ("expert_band_drift.json", script.band_drift_expert()),
+    ):
+        save_policy(expert, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (ROOT / "configs" / name).read_bytes()
