@@ -25,6 +25,7 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
+    philox,
     reachable_support,
     transition_matrix,
 )
@@ -118,6 +119,7 @@ def _draw(values: np.ndarray, idx: np.ndarray, rows: np.ndarray, u: np.ndarray) 
     never the first column at or above u: the lookup gives the same column
     as the full count, bit for bit.
     """
+    rows = rows.astype(np.intp, copy=False)  # once, not in every column's take
     flat = rows * idx.shape[1]  # idx.ravel() offset of each row's first candidate
     for column in values:
         flat += column.take(rows) < u
@@ -134,23 +136,27 @@ def simulate_expert(
     at t + 1), so the result does not depend on how the work is scheduled.
     Each draw is compared only with the columns of its CDF row that it can
     land on (`_candidates`), which picks the same index as comparing it
-    with the whole row.
+    with the whole row.  The rollout fills compact time-major (h, n)
+    buffers of the smallest unsigned type that holds their indices (for
+    states, also the row index s·A + a); the dataset's own int64 (n, h)
+    copy is the one widening transpose.
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
     S, A = mdp.num_states, mdp.num_actions
     if expert.probs.shape != (S, A):
         raise DomainError("expert shape does not match the MDP")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(philox(seed))
     policy = _candidates(np.cumsum(expert.probs, axis=1))
     trans = _candidates(np.cumsum(mdp.transitions, axis=2).reshape(S * A, S))
-    states = np.empty((h, n), dtype=np.int64)
-    actions = np.empty((h, n), dtype=np.int64)
+    states = np.empty((h, n), dtype=np.min_scalar_type(S * A))  # also holds s·A + a
+    actions = np.empty((h, n), dtype=np.min_scalar_type(A))
+    width = states.dtype.type(A)
     states[0] = mdp.initial_state
     for t in range(h):
         actions[t] = _draw(*policy, states[t], rng.random(n))
         if t + 1 < h:
-            states[t + 1] = _draw(*trans, states[t] * A + actions[t], rng.random(n))
+            states[t + 1] = _draw(*trans, states[t] * width + actions[t], rng.random(n))
     return TrajectoryDataset(states=states.T, actions=actions.T)
 
 
@@ -290,6 +296,8 @@ def sample_bound(
     BIRL reach sup-norm error eps.  Requires horizon >= num_states, which is
     what makes every support state reachable within one trajectory.
     """
+    if min(support_size, num_states, num_actions) < 1:
+        raise DomainError("support_size, num_states and num_actions must be >= 1")
     if horizon < num_states:
         raise DomainError("horizon must be at least the number of states")
     if not (0.0 < delta < 1.0):

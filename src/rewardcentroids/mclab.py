@@ -25,7 +25,7 @@ import numpy as np
 from .centroids import CentroidRequest
 from .errors import DomainError
 from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, shaping
-from .mdp import PolicyTable, RewardTable, TabularMdp, k_pi, w_matrix
+from .mdp import PolicyTable, RewardTable, TabularMdp, k_pi, philox, w_matrix
 
 CHUNK = 1 << 17
 MAX_ENUMERATED_POLICIES = 4096
@@ -44,8 +44,9 @@ class McEstimate:
 
 def _draws(draw, n: int, seed: int):
     """draw(rng, size) on chunks of at most CHUNK samples; chunk i uses substream i of the seed."""
+    stream = philox(seed)
     for i, start in enumerate(range(0, n, CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        rng = np.random.Generator(stream.jumped(i))
         yield draw(rng, min(CHUNK, n - start))
 
 

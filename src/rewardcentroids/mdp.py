@@ -21,6 +21,13 @@ GREEDY_RTOL = 1e-9  # q ties: q >= max q - GREEDY_RTOL * (1 + |max q|)
 MAX_POLICY_ITERATIONS = 1000
 
 
+def philox(seed: int) -> np.random.Philox:
+    """The Philox bit generator keyed by seed, which must lie in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise DomainError("seed must lie in [0, 2**128)")
+    return np.random.Philox(key=seed)
+
+
 def _as_readonly(a, shape, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.shape != shape:
@@ -144,8 +151,8 @@ class OccupancyMeasure:
 
     def __post_init__(self):
         arr = np.asarray(self.d, dtype=float)
-        if arr.ndim != 2 or np.any(arr < 0):
-            raise DomainError("occupancy must be a nonnegative 2-d table")
+        if arr.ndim != 2 or np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise DomainError("occupancy must be a finite, nonnegative 2-d table")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise DomainError("occupancy must sum to 1")
         arr = arr.copy()

@@ -38,6 +38,7 @@ from .mdp import (
     TabularMdp,
     greedy_policy,
     occupancy_measure,
+    philox,
     policy_evaluation,
     value_iteration,
 )
@@ -261,7 +262,7 @@ def best_case_reward(
     0.5) subtracted off the non-prescribed actions, then applies the shaping
     operator.  The result always makes the extension optimal.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(philox(seed))
     S, A = mdp.num_states, mdp.num_actions
     actions = expert.actions().copy()
     rows = {int(s) for s in support}

@@ -272,3 +272,39 @@ def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content,
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
+
+
+def test_non_finite_occupancy_is_a_domain_error(tmp_path, capsys):
+    (tmp_path / "grid3.json").write_text(json.dumps(GRID_3X3))
+    # a bare NaN, as Python's json module writes and reads it
+    (tmp_path / "o.json").write_text('{"d": [[NaN, 0.25, 0.25, 0.25, 0.25]' + ", [0, 0, 0, 0, 0]" * 8 + "]}")
+    argv = ["render", "--spec", str(tmp_path / "grid3.json"), "--occupancy", str(tmp_path / "o.json"),
+            "--out", str(tmp_path / "g.svg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--mdp", "{dir}/mdp.json", "--policy", "{dir}/expert.json",
+         "--n", "5", "--h", "2", "--seed", "{seed}", "--out", "{dir}/t.jsonl"],
+        ["geometry", "--check", "prop1", "--n", "10", "--seed", "{seed}"],
+        ["geometry", "--check", "prop4", "--n", "10", "--seed", "{seed}"],
+        # figG4c's best-case planner, with the seed in its scenario config
+        ["gridworld", "run", "--config", "{dir}/c.json", "--out-dir", "{dir}"],
+    ],
+)
+def test_seed_outside_philox_key_range_is_a_domain_error(chain_files, capsys, command, seed):
+    figg4c = json.loads((CONFIGS / "figG4c.json").read_text())
+    config = {**figg4c, "seeds": {"best_case": seed},
+              "gridworld": {**figg4c["gridworld"],
+                            "expert_policy_file": str(CONFIGS / "expert_right_stop.json")}}
+    (chain_files / "c.json").write_text(json.dumps(config))
+    assert main([arg.format(dir=chain_files, seed=seed) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must lie in [0, 2**128)" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -196,6 +197,32 @@ class TestSimulate:
         states, actions = dense_simulate(mdp, expert, 300, h, seed)
         assert np.array_equal(data.states, states)
         assert np.array_equal(data.actions, actions)
+
+    # The rollout buffers' type changes at S·A = 256 (states, which also hold
+    # s·A + a), A = 256 (actions) and S·A = 65,536.
+    @pytest.mark.parametrize("S, A", [(51, 5), (16, 16), (1, 256), (2, 32_768)])
+    def test_matches_dense_sampler_at_buffer_type_boundaries(self, S, A):
+        rng = np.random.default_rng(S * A)
+        mdp = TabularMdp(S, A, S - 1, sparse_rows(rng, (S, A, S)), 0.5)
+        expert = PolicyTable(sparse_rows(rng, (S, A)))
+        data = simulate_expert(mdp, expert, 40, 6, seed=S)
+        states, actions = dense_simulate(mdp, expert, 40, 6, seed=S)
+        assert np.array_equal(data.states, states)
+        assert np.array_equal(data.actions, actions)
+        for arr in (data.states, data.actions):
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_grid_rollout_peak_memory(self):
+        # fig3a's grid expert at n = 10,000, h = 100: only the compact
+        # rollout buffers may add to the dataset's own int64 arrays.
+        mdp, expert = fig3a_grid()
+        tracemalloc.start()
+        try:
+            data = simulate_expert(mdp, expert, 10_000, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (data.states.nbytes + data.actions.nbytes)
 
 
 class TestDraw:
@@ -495,6 +522,19 @@ class TestSampleBound:
                 "opt", num_states=5, num_actions=2, support_size=5, delta=0.1,
                 p_min=0.5, horizon=4,
             )
+
+    @pytest.mark.parametrize("kind", ["opt", "mce"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"support_size": 0, "num_states": 2, "num_actions": 2},
+            {"support_size": 2, "num_states": 0, "num_actions": 2},
+            {"support_size": 2, "num_states": 2, "num_actions": 0},
+        ],
+    )
+    def test_rejects_empty_sizes(self, kind, sizes):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            sample_bound(kind, **sizes, delta=0.1, p_min=0.5, horizon=2, eps=0.5, pi_min_prime=0.1)
 
 
 class TestExactRecoveryGuarantee:

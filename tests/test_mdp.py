@@ -69,6 +69,11 @@ class TestTypes:
         with pytest.raises(DomainError):
             OccupancyMeasure([[0.5, 0.4]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_occupancy_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            OccupancyMeasure([[0.5, bad], [0.5, 0.0]])
+
 
 class TestValueIteration:
     def test_two_self_loop_actions(self):
