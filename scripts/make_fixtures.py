@@ -34,7 +34,7 @@ def right_stop_expert() -> PolicyTable:
         s = cell(x, 5)
         probs[s, :] = 0.0
         probs[s, RIGHT] = 1.0
-    return PolicyTable(probs, deterministic=True)
+    return PolicyTable(probs)
 
 
 def band_drift_expert() -> PolicyTable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BIRL, MCE, OPT, BehaviorModel, log_policy
+from .geometry import OPT, BehaviorModel, log_policy
 from .mdp import PolicyTable, RewardTable
 
 
@@ -38,8 +38,7 @@ class CentroidRequest:
                 raise DomainError("support state out of range")
         object.__setattr__(self, "support", support)
         if self.model.kind == OPT:
-            rows = sorted(support)
-            if rows and np.any((self.expert.probs[rows] == 1.0).sum(axis=1) != 1):
+            if not self.expert.deterministic_rows()[sorted(support)].all():
                 raise DomainError("OPT centroid requires a deterministic expert on the support")
         else:
             if support != frozenset(range(S)):
@@ -59,28 +58,18 @@ def opt_table(visited_pairs: np.ndarray) -> RewardTable:
     return RewardTable(values)
 
 
-def centroid_opt(req: CentroidRequest) -> RewardTable:
-    """The OPT table of the pairs (s, expert action) over the support."""
+def centroid(req: CentroidRequest) -> RewardTable:
+    """The closed-form centroid of the request's model.
+
+    OPT: the `opt_table` of the pairs (s, expert action) over the support.
+    MCE and BIRL: `log_policy` of the expert probabilities.
+    """
     if req.model.kind != OPT:
-        raise DomainError("centroid_opt requires an OPT request")
+        return RewardTable(log_policy(req.expert.probs, req.model.kind))
     rows = sorted(req.support)
     visited = np.zeros((req.num_states, req.num_actions), dtype=bool)
     visited[rows, req.expert.actions()[rows]] = True
     return opt_table(visited)
-
-
-def centroid_mce(req: CentroidRequest) -> RewardTable:
-    """Elementwise natural log of the expert probabilities."""
-    if req.model.kind != MCE:
-        raise DomainError("centroid_mce requires an MCE request")
-    return RewardTable(log_policy(req.expert.probs, MCE))
-
-
-def centroid_birl(req: CentroidRequest) -> RewardTable:
-    """Row-wise max-normalized log table; each row's maximum entry is 0."""
-    if req.model.kind != BIRL:
-        raise DomainError("centroid_birl requires a BIRL request")
-    return RewardTable(log_policy(req.expert.probs, BIRL))
 
 
 def prior_centroid_opt(num_states: int, num_actions: int) -> RewardTable:
@@ -105,9 +94,9 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
 
     q holds one nonnegative weight per deterministic extension of the expert
     (lexicographic order over off-support states).  On the support the result
-    matches centroid_opt; off support, entry (s, a) is the q-mass of the
+    matches `centroid`; off support, entry (s, a) is the q-mass of the
     extensions prescribing a at s, normalized by the total mass.  The uniform
-    q therefore reproduces centroid_opt exactly.
+    q therefore reproduces `centroid` exactly.
     """
     if req.model.kind != OPT:
         raise DomainError("weighted_centroid_opt requires an OPT request")
@@ -119,7 +108,7 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
         )
     if np.any(q < 0) or q.sum() <= 0:
         raise DomainError("q must be nonnegative with positive sum")
-    values = centroid_opt(req).values.copy()
+    values = centroid(req).values.copy()
     total = q.sum()
     for j, s in enumerate(off):
         mass = np.zeros(req.num_actions)

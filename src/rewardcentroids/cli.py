@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import mclab
-from .centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_opt, constant_fit, affine_fit
+from .centroids import CentroidRequest, affine_fit, centroid, constant_fit
 from .errors import DomainError
-from .estimators import DEFAULT_PI_MIN_PRIME, estimate_birl, estimate_mce, estimate_opt, simulate_expert
+from .estimators import DEFAULT_PI_MIN_PRIME, estimate, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp, philox, random_mdp
@@ -55,20 +55,13 @@ def _cmd_centroid(args) -> int:
     req = CentroidRequest(
         expert=policy, support=support, model=model, num_actions=num_actions
     )
-    table = {OPT: centroid_opt, MCE: centroid_mce, BIRL: centroid_birl}[model.kind](req)
-    _emit(ser.reward_to_dict(table), args.out)
+    _emit(ser.reward_to_dict(centroid(req)), args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     data = ser.load_trajectories(args.data)
-    dims = (args.num_states, args.num_actions)
-    if args.model == OPT:
-        table = estimate_opt(data, dims)
-    elif args.model == MCE:
-        table = estimate_mce(data, dims, args.pi_min_prime)
-    else:
-        table = estimate_birl(data, dims, args.pi_min_prime)
+    table = estimate(data, (args.num_states, args.num_actions), args.model, args.pi_min_prime)
     _emit(ser.reward_to_dict(table), args.out)
     return 0
 
@@ -196,7 +189,7 @@ def _check_centroid_opt(n: int, seed: int) -> dict:
     req = CentroidRequest(
         expert=expert, support=support, model=BehaviorModel.opt(), num_actions=2
     )
-    closed = centroid_opt(req)
+    closed = centroid(req)
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
     ok = fit.alpha > 0 and fit.residual_sup <= bound

@@ -1,13 +1,14 @@
 """Offline centroid estimation from expert trajectories.
 
 Each estimate is the closed-form centroid applied to what the trajectories
-show.  OPT is `centroids.opt_table` of the visited pairs.  MCE and BIRL
-estimate the expert policy from first-visit counts, clip it at a floor
-pi_min_prime to keep the logs finite, and take `geometry.log_policy`; rows
-of unvisited states are log(pi_min_prime).  The exact estimates (the
-infinite-data limits) run the same clip-and-log step on the expert's own
-probabilities over its support.  Sample-size requirements for each
-estimator are available in closed form.
+show; `estimate` picks the estimator of a behavior model.  OPT is
+`centroids.opt_table` of the visited pairs.  MCE and BIRL estimate the
+expert policy from first-visit counts, clip it at a floor pi_min_prime to
+keep the logs finite, and take `geometry.log_policy`; rows of unvisited
+states are log(pi_min_prime).  The exact estimates (`exact_estimate`, the
+infinite-data limits) are the OPT centroid itself and, for MCE and BIRL, the
+same clip-and-log step on the expert's own probabilities over its support.
+Sample-size requirements for each estimator are available in closed form.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import opt_table
+from .centroids import CentroidRequest, centroid, opt_table
 from .errors import DomainError
-from .geometry import BIRL, MCE, log_policy
+from .geometry import BIRL, MCE, OPT, BehaviorModel, log_policy
 from .mdp import (
     PolicyTable,
     RewardTable,
@@ -231,25 +232,39 @@ def estimate_birl(
     return _estimate_log(data, dims, pi_min_prime, BIRL)
 
 
-def _exact_log(expert: PolicyTable, support, pi_min_prime: float, kind: str) -> RewardTable:
+def estimate(
+    data: TrajectoryDataset, dims: tuple[int, int], kind: str, pi_min_prime: float = DEFAULT_PI_MIN_PRIME
+) -> RewardTable:
+    """The estimator of the behavior model `kind`; OPT takes no floor."""
+    # An if-chain, not a dict built at import: the per-kind names are looked
+    # up at call time, so wrappers installed over them see these calls too.
+    if kind == OPT:
+        return estimate_opt(data, dims)
+    if kind == MCE:
+        return estimate_mce(data, dims, pi_min_prime)
+    if kind == BIRL:
+        return estimate_birl(data, dims, pi_min_prime)
+    raise DomainError(f"unknown behavior model kind {kind!r}")
+
+
+def exact_estimate(
+    expert: PolicyTable,
+    support: frozenset[int] | set[int],
+    kind: str,
+    pi_min_prime: float = DEFAULT_PI_MIN_PRIME,
+) -> RewardTable:
+    """Infinite-data limit of `estimate` for a known expert visiting exactly support.
+
+    For OPT this is the closed-form centroid itself.
+    """
+    if kind == OPT:
+        return centroid(CentroidRequest(expert, support, BehaviorModel.opt(), expert.probs.shape[1]))
+    if kind not in (MCE, BIRL):
+        raise DomainError(f"unknown behavior model kind {kind!r}")
     _check_pi_min_prime(pi_min_prime)
     visited = np.zeros(expert.probs.shape[0], dtype=bool)
     visited[sorted(int(s) for s in support)] = True
     return _clipped_log(expert.probs, visited, pi_min_prime, kind)
-
-
-def exact_estimate_mce(
-    expert: PolicyTable, support: frozenset[int] | set[int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
-) -> RewardTable:
-    """Infinite-data limit of the MCE estimator for a known expert."""
-    return _exact_log(expert, support, pi_min_prime, MCE)
-
-
-def exact_estimate_birl(
-    expert: PolicyTable, support: frozenset[int] | set[int], pi_min_prime: float = DEFAULT_PI_MIN_PRIME
-) -> RewardTable:
-    """Infinite-data limit of the BIRL estimator for a known expert."""
-    return _exact_log(expert, support, pi_min_prime, BIRL)
 
 
 def p_min_h(mdp: TabularMdp, expert: PolicyTable, h: int) -> float:
@@ -304,15 +319,15 @@ def sample_bound(
         raise DomainError("delta must lie in (0, 1)")
     if not (0.0 < p_min <= 1.0):
         raise DomainError("p_min must lie in (0, 1]")
-    if kind == "opt":
+    if kind == OPT:
         n = math.log(support_size / delta) / p_min
-    elif kind in ("mce", "birl"):
+    elif kind in (MCE, BIRL):
         if eps is None or not (0.0 < eps <= 1.0):
             raise DomainError("eps must lie in (0, 1]")
         if pi_min_prime is None or not (0.0 < pi_min_prime < 1.0):
             raise DomainError("pi_min_prime must lie in (0, 1)")
         sa = num_states * num_actions
-        if kind == "mce":
+        if kind == MCE:
             n = 16.0 * math.log(4.0 * sa / delta) ** 2 / (eps**2 * pi_min_prime * p_min)
         else:
             n = 33.0 * math.log(8.0 * sa / delta) ** 2 / (eps**2 * pi_min_prime * p_min)

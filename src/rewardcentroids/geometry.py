@@ -136,7 +136,7 @@ class AdvantageGap:
 
 
 def _require_deterministic(policy: PolicyTable, what: str) -> np.ndarray:
-    if not policy.deterministic:
+    if not policy.deterministic_rows().all():
         raise DomainError(f"{what} requires a deterministic policy")
     return policy.actions()
 
@@ -233,8 +233,7 @@ def is_feasible(
     if not sup:
         return True
     if model.kind == OPT:
-        probs = expert.probs[sup]
-        if np.any((probs == 1.0).sum(axis=1) != 1):
+        if not expert.deterministic_rows()[sup].all():
             raise DomainError("OPT requires an expert deterministic on the support")
         vf = value_iteration(mdp, r)
         actions = expert.actions()

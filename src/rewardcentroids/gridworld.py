@@ -21,17 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .centroids import CentroidRequest, centroid_opt
 from .errors import DomainError
-from .estimators import (
-    DEFAULT_PI_MIN_PRIME,
-    estimate_birl,
-    estimate_mce,
-    estimate_opt,
-    exact_estimate_birl,
-    exact_estimate_mce,
-    simulate_expert,
-)
+from .estimators import DEFAULT_PI_MIN_PRIME, estimate, exact_estimate, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel
 from .mdp import (
     OccupancyMeasure,
@@ -89,6 +80,9 @@ GRID_KEYS = ("width", "height", "initial_cell", "gamma", "reversed", "blocked_ce
 
 def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
     _known_keys(doc, (*GRID_KEYS, "expert_policy_file"), "grid spec")
+    reversed_ = doc.get("reversed", False)
+    if not isinstance(reversed_, bool):
+        raise DomainError(f"grid spec: 'reversed' must be true or false, not {reversed_!r}")
     policy_file = doc.get("expert_policy_file")
     if policy_file is not None and base_dir is not None:
         policy_file = str((base_dir / policy_file).resolve())
@@ -97,7 +91,7 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
         height=int(doc["height"]),
         initial_cell=tuple(doc["initial_cell"]),
         gamma=float(doc["gamma"]),
-        reversed=bool(doc.get("reversed", False)),
+        reversed=reversed_,
         blocked_cells=tuple(tuple(c) for c in doc.get("blocked_cells", [])),
         expert_policy_file=policy_file,
     )
@@ -197,21 +191,12 @@ def _scenario_reward(
     expert: PolicyTable,
     support: frozenset[int],
 ) -> RewardTable:
-    model = scenario.model
+    kind = scenario.model.kind
     if scenario.estimator is None:
-        if model.kind == OPT:
-            return centroid_opt(CentroidRequest(expert, support, model, source.num_actions))
-        if model.kind == MCE:
-            return exact_estimate_mce(expert, support, DEFAULT_PI_MIN_PRIME)
-        return exact_estimate_birl(expert, support, DEFAULT_PI_MIN_PRIME)
+        return exact_estimate(expert, support, kind)
     n, h, pi_min_prime = scenario.estimator
     data = simulate_expert(source, expert, n, h, scenario.seeds.get("simulate", 0))
-    dims = (source.num_states, source.num_actions)
-    if model.kind == OPT:
-        return estimate_opt(data, dims)
-    if model.kind == MCE:
-        return estimate_mce(data, dims, pi_min_prime)
-    return estimate_birl(data, dims, pi_min_prime)
+    return estimate(data, (source.num_states, source.num_actions), kind, pi_min_prime)
 
 
 def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:

@@ -187,7 +187,7 @@ def mc_volume_fraction(
     lo, hi = box
     if not lo < hi:
         raise DomainError("box must be a nonempty interval")
-    if not policy.deterministic:
+    if not policy.deterministic_rows().all():
         raise DomainError("volume fractions require a deterministic policy")
     if policy.probs.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError("policy shape does not match the MDP")

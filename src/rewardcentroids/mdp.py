@@ -99,7 +99,6 @@ class PolicyTable:
     """Dense stochastic policy; rows are distributions over actions."""
 
     probs: np.ndarray
-    deterministic: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
@@ -109,8 +108,6 @@ class PolicyTable:
             raise DomainError("policy probs must be finite and nonnegative")
         if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
             raise DomainError("each policy row must sum to 1")
-        if self.deterministic and np.any((arr == 1.0).sum(axis=1) != 1):
-            raise DomainError("deterministic policy rows must be one-hot")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -121,7 +118,11 @@ class PolicyTable:
         actions = np.asarray(actions, dtype=int)
         probs = np.zeros((actions.size, num_actions))
         probs[np.arange(actions.size), actions] = 1.0
-        return cls(probs, deterministic=True)
+        return cls(probs)
+
+    def deterministic_rows(self) -> np.ndarray:
+        """Per state, whether the row is one-hot (one entry exactly 1.0)."""
+        return (self.probs == 1.0).sum(axis=1) == 1
 
     def actions(self) -> np.ndarray:
         """Row-wise argmax (lowest index on ties)."""

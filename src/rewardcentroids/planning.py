@@ -264,14 +264,11 @@ def best_case_reward(
     """
     rng = np.random.Generator(philox(seed))
     S, A = mdp.num_states, mdp.num_actions
-    actions = expert.actions().copy()
-    rows = {int(s) for s in support}
-    for s in range(S):
-        if s in rows:
-            if expert.probs[s, actions[s]] != 1.0:
-                raise DomainError("best_case_reward requires a deterministic expert on the support")
-        else:
-            actions[s] = rng.integers(A)
+    on_support = np.isin(np.arange(S), [int(s) for s in support])
+    if not expert.deterministic_rows()[on_support].all():
+        raise DomainError("best_case_reward requires a deterministic expert on the support")
+    actions = expert.actions()
+    actions[~on_support] = rng.integers(A, size=S - on_support.sum())  # one draw per state, in state order
     extension = PolicyTable.from_actions(actions, A)
     v = rng.uniform(-1.0, 1.0, size=S)
     gaps = -rng.uniform(0.0, 0.5, size=(S, A))

@@ -45,7 +45,12 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _known_keys(doc, allowed, where: str):
-    """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored."""
+    """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored.
+
+    doc must be a JSON object or list: a string would be read letter by letter.
+    """
+    if not isinstance(doc, (dict, list)):
+        raise ValueError(f"{where} must be a JSON object or list, not {doc!r}; accepted: {list(allowed)}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
@@ -97,14 +102,19 @@ def save_reward(r: RewardTable, path) -> None:
 
 
 def policy_to_dict(policy: PolicyTable) -> dict:
-    return {"probs": policy.probs.tolist(), "deterministic": policy.deterministic}
+    return {"probs": policy.probs.tolist()}
 
 
 def policy_from_dict(doc: dict) -> PolicyTable:
-    return PolicyTable(
-        probs=np.asarray(_require(doc, "probs", "policy document"), dtype=float),
-        deterministic=bool(doc.get("deterministic", False)),
-    )
+    """The policy of doc; determinism is read from the rows, not from a flag.
+
+    Older files may carry a "deterministic" key.  It is ignored, except that a
+    truthy one on rows that are not all one-hot is still an error.
+    """
+    policy = PolicyTable(np.asarray(_require(doc, "probs", "policy document"), dtype=float))
+    if doc.get("deterministic") and not policy.deterministic_rows().all():
+        raise DomainError("policy marked deterministic has rows that are not one-hot")
+    return policy
 
 
 def load_policy(path) -> PolicyTable:
@@ -135,9 +145,7 @@ def save_constraint(spec: ConstraintSpec, path) -> None:
 
 
 def load_support(path) -> frozenset[int]:
-    return _load_json(
-        path, lambda doc: frozenset(int(s) for s in _require(doc, "states", "support document"))
-    )
+    return _load_json(path, lambda doc: frozenset(_indices(doc, "states", f"support document {path}")))
 
 
 def save_support(states, path) -> None:

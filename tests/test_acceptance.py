@@ -13,9 +13,7 @@ import numpy as np
 from rewardcentroids.centroids import (
     CentroidRequest,
     affine_fit,
-    centroid_birl,
-    centroid_mce,
-    centroid_opt,
+    centroid,
     constant_fit,
 )
 from rewardcentroids.estimators import (
@@ -130,7 +128,7 @@ def test_criterion_04_centroid_matches_closed_form():
     expert = PolicyTable.from_actions([0, 0], 2)
     support = frozenset({0})
     est = mc_centroid_opt(mdp, expert, support, OPT_PARAMS_UNIT, 10_000_000, seed=11)
-    closed = centroid_opt(
+    closed = centroid(
         CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt(), num_actions=2)
     )
     fit = affine_fit(RewardTable(est.mean), closed)
@@ -199,7 +197,7 @@ def test_criterion_08_exact_recovery_rate():
         "opt", num_states=5, num_actions=2, support_size=5, delta=0.1,
         p_min=p_min, horizon=horizon,
     )
-    reference = centroid_opt(
+    reference = centroid(
         CentroidRequest(
             expert=expert, support=frozenset(range(5)),
             model=BehaviorModel.opt(), num_actions=2,
@@ -227,10 +225,10 @@ def test_criterion_09_estimator_error_rates():
     p_min = p_min_h(mdp, expert, horizon)
     support = frozenset(range(S))
     refs = {
-        "mce": centroid_mce(
+        "mce": centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=A)
         ),
-        "birl": centroid_birl(
+        "birl": centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=A)
         ),
     }
@@ -268,7 +266,7 @@ def test_criterion_10_imitation_consistency():
                 expert=expert, support=frozenset(range(4)),
                 model=BehaviorModel.opt(), num_actions=3,
             )
-            centroid = centroid_opt(req)
+            closed = centroid(req)
         else:
             probs = rng.dirichlet(np.ones(3), size=4) * 0.8 + 0.2 / 3
             probs /= probs.sum(axis=1, keepdims=True)
@@ -279,15 +277,15 @@ def test_criterion_10_imitation_consistency():
                     expert=expert, support=frozenset(range(4)),
                     model=BehaviorModel.mce(0.9), num_actions=3,
                 )
-                centroid = centroid_mce(req)
+                closed = centroid(req)
             else:
                 r_e = u_operator(mdp, eta_birl(expert, 1.1), rng.normal(size=4))
                 req = CentroidRequest(
                     expert=expert, support=frozenset(range(4)),
                     model=BehaviorModel.birl(1.1), num_actions=3,
                 )
-                centroid = centroid_birl(req)
-        planned = greedy_policy(value_iteration(mdp, centroid))
+                closed = centroid(req)
+        planned = greedy_policy(value_iteration(mdp, closed))
         achieved = policy_evaluation(mdp, planned, r_e).v[mdp.initial_state]
         best = value_iteration(mdp, r_e).v[mdp.initial_state]
         failures += int(abs(achieved - best) > 1e-7)
@@ -383,7 +381,7 @@ def _scenario_environment(config_path: Path):
 
 
 def test_criterion_13_figure_pipeline(tmp_path):
-    from rewardcentroids.estimators import exact_estimate_birl, exact_estimate_mce
+    from rewardcentroids.estimators import exact_estimate
 
     names = sorted(p.stem for p in CONFIGS.glob("fig*.json"))
     assert names, "scenario configs missing"
@@ -411,9 +409,7 @@ def test_criterion_13_figure_pipeline(tmp_path):
         if kind not in ("mce", "birl"):
             continue
         support = reachable_support(source, expert)
-        est = (exact_estimate_mce if kind == "mce" else exact_estimate_birl)(
-            expert, support, 1e-6
-        )
+        est = exact_estimate(expert, support, kind, 1e-6)
         rows = sorted(support)
         played = expert.probs[rows] > 0
         on_support_min = est.values[rows][played].min()

@@ -7,9 +7,7 @@ from rewardcentroids.centroids import (
     AffineFit,
     CentroidRequest,
     affine_fit,
-    centroid_birl,
-    centroid_mce,
-    centroid_opt,
+    centroid,
     constant_fit,
     enumerate_extensions,
     prior_centroid_opt,
@@ -41,18 +39,18 @@ def opt_request(expert, support, num_actions):
 class TestClosedForms:
     def test_opt_partial_support(self):
         expert = det_policy([0, 0], 2)
-        r = centroid_opt(opt_request(expert, {0}, 2))
+        r = centroid(opt_request(expert, {0}, 2))
         assert r.values == pytest.approx(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
     def test_opt_full_support_is_indicator(self):
         expert = det_policy([1, 0, 1], 2)
-        r = centroid_opt(opt_request(expert, {0, 1, 2}, 2))
+        r = centroid(opt_request(expert, {0, 1, 2}, 2))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         assert r.values == pytest.approx(expected)
 
     def test_opt_empty_support_is_flat(self):
         expert = det_policy([0, 1], 3)
-        r = centroid_opt(opt_request(expert, set(), 3))
+        r = centroid(opt_request(expert, set(), 3))
         assert r.values == pytest.approx(np.full((2, 3), 1.0 / 3.0))
 
     def test_opt_rejects_stochastic_expert_on_support(self):
@@ -66,7 +64,7 @@ class TestClosedForms:
             model=BehaviorModel.mce(1.0),
             num_actions=2,
         )
-        assert centroid_mce(req).values[0] == pytest.approx([np.log(0.5)] * 2)
+        assert centroid(req).values[0] == pytest.approx([np.log(0.5)] * 2)
 
     def test_mce_example_row(self):
         req = CentroidRequest(
@@ -75,7 +73,7 @@ class TestClosedForms:
             model=BehaviorModel.mce(1.0),
             num_actions=2,
         )
-        assert centroid_mce(req).values[0] == pytest.approx([np.log(1 / 3), np.log(2 / 3)])
+        assert centroid(req).values[0] == pytest.approx([np.log(1 / 3), np.log(2 / 3)])
 
     def test_mce_near_deterministic(self):
         req = CentroidRequest(
@@ -84,7 +82,7 @@ class TestClosedForms:
             model=BehaviorModel.mce(1.0),
             num_actions=2,
         )
-        vals = centroid_mce(req).values[0]
+        vals = centroid(req).values[0]
         assert vals[0] == pytest.approx(-1e-6, abs=1e-9)
         assert vals[1] == pytest.approx(np.log(1e-6), abs=1e-4)
 
@@ -104,7 +102,7 @@ class TestClosedForms:
             model=BehaviorModel.birl(1.0),
             num_actions=2,
         )
-        assert np.all(centroid_birl(req).values == 0.0)
+        assert np.all(centroid(req).values == 0.0)
 
     def test_birl_example_row(self):
         req = CentroidRequest(
@@ -113,7 +111,7 @@ class TestClosedForms:
             model=BehaviorModel.birl(1.0),
             num_actions=2,
         )
-        assert centroid_birl(req).values[0] == pytest.approx([np.log(0.5), 0.0])
+        assert centroid(req).values[0] == pytest.approx([np.log(0.5), 0.0])
 
     def test_birl_rejects_zero_entries(self):
         with pytest.raises(DomainError):
@@ -139,7 +137,7 @@ class TestStructure:
             model=BehaviorModel.birl(1.0),
             num_actions=3,
         )
-        vals = centroid_birl(req).values
+        vals = centroid(req).values
         assert np.all(vals.max(axis=1) == 0.0)
         assert np.all((vals == 0.0).sum(axis=1) == 1)  # unique rowwise max a.s.
 
@@ -148,10 +146,10 @@ class TestStructure:
         probs /= probs.sum(axis=1, keepdims=True)
         expert = PolicyTable(probs)
         support = frozenset(range(5))
-        mce = centroid_mce(
+        mce = centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=3)
         )
-        birl = centroid_birl(
+        birl = centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=3)
         )
         diff = mce.values - birl.values
@@ -159,13 +157,13 @@ class TestStructure:
 
 
 class TestWeightedCentroid:
-    def test_uniform_weights_reduce_to_centroid_opt(self):
+    def test_uniform_weights_reduce_to_the_centroid(self):
         expert = det_policy([0, 0, 1], 2)
         req = opt_request(expert, {0}, 2)
         _, extensions = enumerate_extensions(req)
         q = np.full(len(extensions), 1.0 / len(extensions))
         assert weighted_centroid_opt(req, q).values == pytest.approx(
-            centroid_opt(req).values
+            centroid(req).values
         )
 
     def test_point_mass_reproduces_extension_indicator(self):
@@ -308,8 +306,8 @@ class TestImitationConsistency:
             gaps = -rng.uniform(0.05, 1.0, size=(4, 3))
             gaps[np.arange(4), actions] = 0.0
             r_e = t_operator(mdp, expert, rng.normal(size=4), AdvantageGap(gaps))
-            centroid = centroid_opt(opt_request(expert, range(4), 3))
-            planned = greedy_policy(value_iteration(mdp, centroid))
+            closed = centroid(opt_request(expert, range(4), 3))
+            planned = greedy_policy(value_iteration(mdp, closed))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_mce_centroid_recovers_optimal_behavior(self, rng):
@@ -322,8 +320,8 @@ class TestImitationConsistency:
             req = CentroidRequest(
                 expert=expert, support=frozenset(range(4)), model=BehaviorModel.mce(0.7), num_actions=3
             )
-            centroid = centroid_mce(req)
-            planned = greedy_policy(value_iteration(mdp, centroid))
+            closed = centroid(req)
+            planned = greedy_policy(value_iteration(mdp, closed))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_birl_centroid_recovers_optimal_behavior(self, rng):
@@ -336,8 +334,8 @@ class TestImitationConsistency:
             req = CentroidRequest(
                 expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.2), num_actions=3
             )
-            centroid = centroid_birl(req)
-            planned = greedy_policy(value_iteration(mdp, centroid))
+            closed = centroid(req)
+            planned = greedy_policy(value_iteration(mdp, closed))
             self._assert_optimal(mdp, planned, r_e)
 
     def test_birl_centroid_transfers_to_new_environments(self, rng):
@@ -349,11 +347,11 @@ class TestImitationConsistency:
         req = CentroidRequest(
             expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.0), num_actions=3
         )
-        centroid = centroid_birl(req)
-        assert np.all(centroid.values.max(axis=1) == 0.0)
+        closed = centroid(req)
+        assert np.all(closed.values.max(axis=1) == 0.0)
         for _ in range(10):
             new_env = random_mdp(4, 3, rng.uniform(0.1, 0.95), rng, initial_state=int(rng.integers(4)))
-            vf = value_iteration(new_env, centroid)
+            vf = value_iteration(new_env, closed)
             planned = greedy_policy(vf)
             assert vf.v == pytest.approx(np.zeros(4), abs=1e-9)
-            assert np.all(planned.actions() == np.argmax(centroid.values, axis=1))
+            assert np.all(planned.actions() == np.argmax(closed.values, axis=1))

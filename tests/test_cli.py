@@ -207,6 +207,7 @@ MALFORMED_SPEC = {"height": 2, "initial_cell": [0, 0], "gamma": 0.5}  # no "widt
 MALFORMED_MDP = {"num_states": "x", "num_actions": 2, "initial_state": 0,
                  "transitions": [[[1.0], [1.0]]], "gamma": 0.5}
 GRID_3X3 = {"width": 3, "height": 3, "initial_cell": [0, 0], "gamma": 0.5}
+GRID_3X1 = {"width": 3, "height": 1, "initial_cell": [0, 0], "gamma": 0.5}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG2C = json.loads((CONFIGS / "fig2c.json").read_text())
 SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
@@ -308,3 +309,58 @@ def test_seed_outside_philox_key_range_is_a_domain_error(chain_files, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed must lie in [0, 2**128)" in err
     assert "Traceback" not in err
+
+
+def test_support_states_must_be_json_integers(chain_files, capsys):
+    # 0.7 and true are errors, not read as states 0 and 1
+    (chain_files / "sup.json").write_text(json.dumps({"states": [0.7, True]}))
+    code = main([
+        "centroid", "--model", "opt",
+        "--policy", str(chain_files / "expert.json"),
+        "--support", str(chain_files / "sup.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a list of integers" in err
+    assert "Traceback" not in err
+
+
+def test_legacy_deterministic_key_on_stochastic_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"probs": [[0.5, 0.5], [0.5, 0.5]], "deterministic": True}))
+    assert main(["centroid", "--model", "mce", "--policy", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "one-hot" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, value", [("estimator", "exakt"), ("outputs", "report_json")])
+def test_scenario_section_of_the_wrong_json_type_is_named(tmp_path, capsys, section, value):
+    # a string is not read letter by letter as a list of keys
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**SCENARIO, section: value}))
+    assert main(["gridworld", "run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section} must be a JSON object or list" in err
+    assert "['a'," not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, right_from_0", [(False, 1), (True, 0)])
+def test_gridworld_reversed_flag_is_read_as_a_boolean(tmp_path, flag, right_from_0):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**GRID_3X1, "reversed": flag}))
+    assert main(["gridworld", "build", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 0
+    transitions = json.loads((tmp_path / "mdp.json").read_text())["transitions"]
+    assert np.argmax(transitions[0][1]) == right_from_0  # state 0, action RIGHT
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_gridworld_reversed_flag_of_another_type_is_a_domain_error(tmp_path, capsys, flag):
+    # "false" is truthy: reading it with bool() would build a reversed grid
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**GRID_3X1, "reversed": flag}))
+    assert main(["gridworld", "build", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "reversed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "mdp.json").exists()

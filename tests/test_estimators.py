@@ -9,27 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rewardcentroids.centroids import CentroidRequest, centroid_birl, centroid_mce, centroid_opt
+from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError
+from rewardcentroids import estimators
 from rewardcentroids.estimators import (
+    DEFAULT_PI_MIN_PRIME,
     TrajectoryDataset,
     VisitCounts,
     _candidates,
     _draw,
+    estimate,
     estimate_birl,
     estimate_mce,
     estimate_opt,
-    exact_estimate_birl,
-    exact_estimate_mce,
+    exact_estimate,
     first_visit_counts,
     p_min_h,
     sample_bound,
     simulate_expert,
 )
-from rewardcentroids.geometry import BehaviorModel
+from rewardcentroids.geometry import BehaviorModel, log_policy
 from rewardcentroids.gridworld import build_gridworld, spec_from_dict
 from rewardcentroids.mclab import fig_two_state_chain
-from rewardcentroids.mdp import PolicyTable, TabularMdp, random_mdp
+from rewardcentroids.mdp import PolicyTable, TabularMdp, random_mdp, reachable_support
 from rewardcentroids.serialization import load_policy
 
 from conftest import det_policy
@@ -335,7 +337,7 @@ class TestEstimators:
         req = CentroidRequest(
             expert=expert, support=frozenset(range(4)), model=BehaviorModel.opt(), num_actions=2
         )
-        assert np.array_equal(est.values, centroid_opt(req).values)
+        assert np.array_equal(est.values, centroid(req).values)
 
     def test_mce_frequency_and_floor(self):
         data = TrajectoryDataset(
@@ -377,7 +379,7 @@ class TestEstimators:
         expert = det_policy([0, 1, 0, 1, 1], 2)
         data = simulate_expert(mdp, expert, n=100_000, h=5, seed=29)
         est = estimate_opt(data, (5, 2))
-        reference = centroid_opt(
+        reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
                 model=BehaviorModel.opt(), num_actions=2,
@@ -394,10 +396,10 @@ class TestEstimators:
         mce = estimate_mce(data, dims)
         birl = estimate_birl(data, dims)
         support = frozenset(range(5))
-        mce_ref = centroid_mce(
+        mce_ref = centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=2)
         )
-        birl_ref = centroid_birl(
+        birl_ref = centroid(
             CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=2)
         )
         assert np.abs(mce.values - mce_ref.values).max() <= 0.05
@@ -406,10 +408,10 @@ class TestEstimators:
     def test_exact_estimates_are_infinite_data_limits(self):
         expert = PolicyTable([[0.7, 0.3], [1.0, 0.0]])
         support = {0}
-        mce = exact_estimate_mce(expert, support, 1e-6)
+        mce = exact_estimate(expert, support, "mce", 1e-6)
         assert mce.values[0] == pytest.approx([np.log(0.7), np.log(0.3)])
         assert mce.values[1] == pytest.approx([np.log(1e-6)] * 2)
-        birl = exact_estimate_birl(expert, support, 1e-6)
+        birl = exact_estimate(expert, support, "birl", 1e-6)
         assert birl.values[0] == pytest.approx([0.0, np.log(3 / 7)])
         assert birl.values[1] == pytest.approx([np.log(1e-6)] * 2)
 
@@ -433,10 +435,78 @@ class TestEstimators:
             assert len(seen) == (2 if pi_min_prime == 0.3 else 0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                exact_mce = exact_estimate_mce(expert, support, pi_min_prime)
-                exact_birl = exact_estimate_birl(expert, support, pi_min_prime)
+                exact_mce = exact_estimate(expert, support, "mce", pi_min_prime)
+                exact_birl = exact_estimate(expert, support, "birl", pi_min_prime)
             assert np.array_equal(mce.values, exact_mce.values)
             assert np.array_equal(birl.values, exact_birl.values)
+
+
+FIXTURE_EXPERTS = ("expert_right_stop.json", "expert_band_drift.json")
+
+
+class TestDispatch:
+    """`estimate` and `exact_estimate` on fig3a's grid with each fixture expert."""
+
+    @pytest.mark.parametrize("fixture", FIXTURE_EXPERTS)
+    def test_estimate_is_the_per_kind_estimator(self, fixture):
+        mdp, _ = fig3a_grid()
+        expert = load_policy(CONFIGS / fixture)
+        data = simulate_expert(mdp, expert, 300, 40, 7)
+        dims = (mdp.num_states, mdp.num_actions)
+        assert np.array_equal(estimate(data, dims, "opt").values, estimate_opt(data, dims).values)
+        for kind, per_kind in (("mce", estimate_mce), ("birl", estimate_birl)):
+            for floor in (DEFAULT_PI_MIN_PRIME, 1e-3):
+                expected = per_kind(data, dims, floor).values
+                assert np.array_equal(estimate(data, dims, kind, floor).values, expected)
+            assert np.array_equal(estimate(data, dims, kind).values, per_kind(data, dims).values)
+
+    @pytest.mark.parametrize("fixture", FIXTURE_EXPERTS)
+    @pytest.mark.parametrize("kind", ["mce", "birl"])
+    def test_exact_estimate_clips_and_logs_the_expert(self, fixture, kind):
+        mdp, _ = fig3a_grid()
+        expert = load_policy(CONFIGS / fixture)
+        support = reachable_support(mdp, expert)
+        for floor in (DEFAULT_PI_MIN_PRIME, 1e-3):
+            expected = log_policy(np.maximum(floor, expert.probs), kind)
+            expected[sorted(set(range(mdp.num_states)) - support)] = np.log(floor)
+            assert np.array_equal(exact_estimate(expert, support, kind, floor).values, expected)
+
+    def test_exact_opt_estimate_is_the_centroid(self):
+        mdp, _ = fig3a_grid()
+        expert = load_policy(CONFIGS / "expert_right_stop.json")
+        support = reachable_support(mdp, expert)
+        rows = sorted(support)
+        expected = np.full(expert.probs.shape, 1.0 / mdp.num_actions)
+        expected[rows] = 0.0
+        expected[rows, expert.actions()[rows]] = 1.0
+        assert np.array_equal(exact_estimate(expert, support, "opt").values, expected)
+
+    def test_exact_opt_estimate_needs_a_deterministic_expert(self):
+        mdp, _ = fig3a_grid()
+        expert = load_policy(CONFIGS / "expert_band_drift.json")
+        with pytest.raises(DomainError, match="deterministic"):
+            exact_estimate(expert, reachable_support(mdp, expert), "opt")
+
+    def test_unknown_kind_is_rejected(self):
+        data = TrajectoryDataset(states=[[0]], actions=[[0]])
+        with pytest.raises(DomainError):
+            estimate(data, (1, 1), "opt2")
+        with pytest.raises(DomainError):
+            exact_estimate(PolicyTable([[1.0]]), {0}, "opt2")
+
+    def test_estimators_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed over a per-kind estimator sees the dispatched call
+        calls = []
+        original = estimators.estimate_birl
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "estimate_birl", recording)
+        data = TrajectoryDataset(states=[[0]], actions=[[0]])
+        estimate(data, (1, 2), "birl", 0.01)
+        assert len(calls) == 1 and calls[0][1:] == ((1, 2), 0.01)
 
 
 class TestVisitProbability:
@@ -549,7 +619,7 @@ class TestExactRecoveryGuarantee:
             "opt", num_states=5, num_actions=2, support_size=5, delta=0.1,
             p_min=p_min, horizon=h,
         )
-        reference = centroid_opt(
+        reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
                 model=BehaviorModel.opt(), num_actions=2,

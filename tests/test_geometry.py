@@ -94,6 +94,21 @@ class TestOperators:
         with pytest.raises(DomainError):
             t_operator(mdp, PolicyTable([[0.5, 0.5], [1.0, 0.0]]), np.zeros(2), AdvantageGap(np.zeros((2, 2))))
 
+    def test_one_hot_rows_are_deterministic_without_a_flag(self, rng):
+        # determinism is read from the table: PolicyTable(one-hot rows) is
+        # the same policy as from_actions, for both operators
+        mdp = random_mdp(3, 2, 0.7, rng)
+        actions = [1, 0, 1]
+        table, built = PolicyTable(np.eye(2)[actions]), PolicyTable.from_actions(actions, 2)
+        v = rng.normal(size=3)
+        gaps = -rng.uniform(0.05, 1.0, size=(3, 2))
+        gaps[np.arange(3), actions] = 0.0
+        assert np.array_equal(
+            t_operator(mdp, table, v, AdvantageGap(gaps)).values,
+            t_operator(mdp, built, v, AdvantageGap(gaps)).values,
+        )
+        assert np.array_equal(t_matrix(mdp, table), t_matrix(mdp, built))
+
     def test_u_operator_identity_at_zero_values(self, rng):
         mdp = random_mdp(2, 2, 0.5, rng)
         eta = RewardTable(rng.normal(size=(2, 2)))

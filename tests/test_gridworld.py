@@ -137,7 +137,7 @@ class TestRender:
         spec = small_spec()
         probs = np.zeros((9, 5))
         probs[:, RIGHT] = 1.0
-        path = render_grid_svg(None, PolicyTable(probs, deterministic=True), spec, tmp_path / "p.svg")
+        path = render_grid_svg(None, PolicyTable(probs), spec, tmp_path / "p.svg")
         text = path.read_text()
         assert text.count("<line") == 9
         assert text.count("<circle") == 0
@@ -147,7 +147,7 @@ class TestRender:
         probs = np.zeros((9, 5))
         probs[:, STAY] = 1.0
         path = render_grid_svg(
-            None, PolicyTable(probs, deterministic=True), spec, tmp_path / "m.svg",
+            None, PolicyTable(probs), spec, tmp_path / "m.svg",
             support={0, 1},
         )
         assert path.read_text().count("<circle") == 2
@@ -180,7 +180,7 @@ class TestScenario:
         s0 = spec.state_index(0, 0)
         probs[s0, :] = 0.0
         probs[s0, RIGHT] = 1.0
-        policy_doc = {"probs": probs.tolist(), "deterministic": True}
+        policy_doc = {"probs": probs.tolist()}
         (tmp_path / "expert.json").write_text(json.dumps(policy_doc))
         config = {
             "gridworld": {

@@ -236,6 +236,16 @@ class TestVolumeFraction:
         assert abs(stay.mean - jump.mean) >= 5 * sigma
         assert stay.mean == pytest.approx(1.0 / 6.0, abs=0.01)
 
+    def test_one_hot_table_is_the_deterministic_policy(self):
+        # a one-hot PolicyTable needs no flag: same estimate as from_actions
+        mdp = fig_two_state_chain(0.9)
+        params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+        table, built = PolicyTable(np.eye(2)[[0, 0]]), det_policy([0, 0], 2)
+        for extra in ((), (params,)):
+            a = mc_volume_fraction(mdp, table, BehaviorModel.opt(), (-1, 1), 20_000, 4, *extra)
+            b = mc_volume_fraction(mdp, built, BehaviorModel.opt(), (-1, 1), 20_000, 4, *extra)
+            assert (a.mean, a.std_error, a.n_accepted) == (b.mean, b.std_error, b.n_accepted)
+
     def test_seed_reproducibility(self, rng):
         mdp = fig_two_state_chain(0.9)
         a = mc_volume_fraction(mdp, det_policy([0, 0], 2), BehaviorModel.opt(), (-1, 1), 50_000, 9)

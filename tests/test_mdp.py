@@ -61,9 +61,9 @@ class TestTypes:
         with pytest.raises(DomainError):
             PolicyTable([[0.7, 0.2]])
 
-    def test_deterministic_flag_requires_one_hot(self):
-        with pytest.raises(DomainError):
-            PolicyTable([[0.5, 0.5]], deterministic=True)
+    def test_deterministic_rows_are_the_one_hot_rows(self):
+        policy = PolicyTable([[0.0, 1.0], [0.5, 0.5], [1.0 - 1e-13, 1e-13]])
+        assert policy.deterministic_rows().tolist() == [True, False, False]
 
     def test_occupancy_invariants(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rewardcentroids import planning
-from rewardcentroids.centroids import CentroidRequest, centroid_opt
+from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
 from rewardcentroids.geometry import BehaviorModel, is_feasible
 from rewardcentroids.gridworld import run_scenario
@@ -88,7 +88,7 @@ class TestUnconstrained:
             expert=expert, support=frozenset(range(4)),
             model=BehaviorModel.opt(), num_actions=3,
         )
-        planned = plan_unconstrained(mdp, centroid_opt(req))
+        planned = plan_unconstrained(mdp, centroid(req))
         assert np.array_equal(planned.actions(), expert.actions())
 
     def test_zero_reward_breaks_ties_to_first_action(self, rng):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rewardcentroids.serialization import write_report
+from rewardcentroids.errors import DomainError
+from rewardcentroids.mdp import PolicyTable
+from rewardcentroids.serialization import load_policy, policy_to_dict, save_policy, write_report
 
 
 def report_bytes(tmp_path, doc) -> bytes:
@@ -52,3 +54,29 @@ def test_floats_nested_in_lists_are_rounded(tmp_path):
     assert json.loads(report_bytes(tmp_path, doc)) == {
         "rows": [[0.715, 7], {"v": -65.2061944721}]
     }
+
+
+def write_policy_doc(tmp_path, doc):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_policy_files_carry_no_determinism_flag(tmp_path):
+    save_policy(PolicyTable.from_actions([1, 0], 2), tmp_path / "p.json")
+    assert json.loads((tmp_path / "p.json").read_text()) == {"probs": [[0.0, 1.0], [1.0, 0.0]]}
+    assert policy_to_dict(PolicyTable([[0.5, 0.5]])) == {"probs": [[0.5, 0.5]]}
+
+
+def test_legacy_deterministic_key_on_stochastic_rows_is_rejected(tmp_path):
+    path = write_policy_doc(tmp_path, {"probs": [[1.0, 0.0], [0.5, 0.5]], "deterministic": True})
+    with pytest.raises(DomainError, match="one-hot"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_one_hot_rows_load_as_deterministic_whatever_the_legacy_key(tmp_path, flag):
+    path = write_policy_doc(tmp_path, {"probs": [[0.0, 1.0], [1.0, 0.0]], "deterministic": flag})
+    policy = load_policy(path)
+    assert policy.deterministic_rows().all()
+    assert np.array_equal(policy.probs, PolicyTable.from_actions([1, 0], 2).probs)
