@@ -34,7 +34,7 @@ from .mdp import (
 )
 from .planning import ConstraintSpec, bc_policy, best_case_reward, mimic_policy, plan
 from .render import MOVES, render_grid_svg
-from .serialization import _known_keys, _load_json, load_policy, write_report
+from .serialization import _int, _known_keys, _load_json, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = len(MOVES)
@@ -87,8 +87,8 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
     if policy_file is not None and base_dir is not None:
         policy_file = str((base_dir / policy_file).resolve())
     return GridworldSpec(
-        width=int(doc["width"]),
-        height=int(doc["height"]),
+        width=_int(doc, "width", "grid spec"),
+        height=_int(doc, "height", "grid spec"),
         initial_cell=tuple(doc["initial_cell"]),
         gamma=float(doc["gamma"]),
         reversed=reversed_,
@@ -171,7 +171,7 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
     if sampled != "exact":
         _known_keys(sampled, ("n", "h", "pi_min_prime"), "estimator")
         pi_min_prime = float(sampled.get("pi_min_prime", DEFAULT_PI_MIN_PRIME))
-        estimator = (int(sampled["n"]), int(sampled["h"]), pi_min_prime)
+        estimator = (_int(sampled, "n", "estimator"), _int(sampled, "h", "estimator"), pi_min_prime)
     target = _known_keys(doc.get("target", {}), GRID_KEYS, "target")
     seeds = _known_keys(doc.get("seeds", {}), SEED_KEYS, "seeds")
     return _Scenario(
@@ -180,7 +180,7 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
         planner=doc.get("planner", "centroid"),
         model=_model_from_config(doc.get("model")),
         estimator=estimator,
-        seeds={key: int(seed) for key, seed in seeds.items()},
+        seeds={key: _int(seeds, key, "seeds") for key in seeds},
         outputs=_known_keys(doc.get("outputs", ["policy_svg", "report_json"]), OUTPUTS, "outputs"),
     )
 

@@ -1,14 +1,12 @@
 """Self-contained dense linear-program solver.
 
 Primal simplex on a dense tableau over the standard form: the structural
-columns x, then one slack column per `<=` row, with every row whose
-right-hand side is negative multiplied by -1.  A solve runs in three stages.
+columns x, then one slack column per `<=` row.  A solve runs in three stages.
 
-- Start.  Given a starting basis (one standard-form column per row, whose
-  columns are invertible and whose basic solution is feasible) the tableau
-  B^-1 [A | b] is formed once.  Without one, phase 1 drives out
-  artificial columns (one per equality row and per flipped `<=` row) and
-  drops the rows whose artificial cannot leave, which are redundant.
+- Start.  The caller's starting basis (one standard-form column per row,
+  whose columns are invertible and whose basic solution is feasible) gives
+  the tableau B^-1 [A | b], formed once.  Without one, the start is the
+  slack basis, which fits only `<=` rows with a nonnegative right-hand side.
 - Phase 2 minimizes the objective.
 - Tie stage.  Every nonbasic column whose reduced cost exceeds PIVOT_TOL is
   barred, so the columns left span the optimal face.  The simplex then
@@ -37,7 +35,6 @@ import numpy as np
 from .errors import DomainError, SolverError
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-9
@@ -83,8 +80,7 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float
     dual: np.ndarray | None = None  # one multiplier per row, eq rows first
-    # phase 1 (with artificials driven out; 0 from a starting basis), phase 2, tie stage
-    pivots: tuple[int, int, int] = (0, 0, 0)
+    pivots: tuple[int, int] = (0, 0)  # phase 2, tie stage
 
 
 def tie_objective(num_vars: int) -> np.ndarray:
@@ -142,46 +138,8 @@ def _priced(weights: np.ndarray, tab: np.ndarray, basis: np.ndarray) -> np.ndarr
     return cost - cost[basis] @ tab
 
 
-def _phase1(ab: np.ndarray, me: int, flip: np.ndarray, feas_tol: float):
-    """Cold start; returns (tableau, basis, kept rows, pivots), tableau None if infeasible."""
-    m, n_struct = ab.shape[0], ab.shape[1] - 1
-    slack0 = n_struct - (m - me)
-    # Artificial columns only where the slack cannot start basic.
-    need_art = (np.arange(m) < me) | flip
-    art_rows = np.flatnonzero(need_art)
-    n_cols = n_struct + art_rows.size
-    tab = np.zeros((m, n_cols + 1))
-    tab[:, :n_struct] = ab[:, :-1]
-    tab[art_rows, n_struct + np.arange(art_rows.size)] = 1.0
-    tab[:, -1] = ab[:, -1]
-    basis = slack0 + np.arange(m) - me
-    basis[art_rows] = n_struct + np.arange(art_rows.size)
-    keep = np.ones(m, dtype=bool)
-    if art_rows.size == 0:
-        return tab, basis, keep, 0
-    cost1 = np.zeros(n_cols + 1)
-    cost1[n_struct:n_cols] = 1.0
-    cost1 -= tab[art_rows].sum(axis=0)
-    status, pivots = _run_simplex(tab, cost1, basis, n_cols)
-    if status != OPTIMAL:  # phase 1 is bounded below by 0
-        raise SolverError("phase 1 terminated abnormally")
-    if -cost1[-1] > feas_tol:
-        return None, basis, keep, pivots
-    # Pivot basic artificials out; rows that cannot are redundant.
-    for i in range(m):
-        if basis[i] >= n_struct:
-            candidates = np.flatnonzero(np.abs(tab[i, :n_struct]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(tab, cost1, basis, i, int(candidates[0]))
-                pivots += 1
-            else:
-                keep[i] = False
-    tab = np.hstack([tab[keep, :n_struct], tab[keep, -1:]])
-    return tab, basis[keep], keep, pivots
-
-
 def _basis_tableau(ab: np.ndarray, basis, feas_tol: float):
-    """B^-1 [A | b] for a caller's starting basis, checked invertible and feasible."""
+    """B^-1 [A | b] for a starting basis, checked invertible and feasible."""
     m, n_struct = ab.shape[0], ab.shape[1] - 1
     basis = np.array(basis, dtype=int)
     if basis.shape != (m,) or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n_struct:
@@ -200,45 +158,38 @@ def _basis_tableau(ab: np.ndarray, basis, feas_tol: float):
 
 
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
-    """Solve the program; returns a certified status and, when optimal, the
-    tie objective's optimum over the optimal face.
+    """Solve the program from a starting basis; returns a certified status
+    and, when optimal, the tie objective's optimum over the optimal face.
 
-    `basis`, if given, lists one standard-form column per row (structural
-    columns 0..n-1, then the slack of `<=` row j at n + j) that is invertible
-    and primal feasible; phase 1 is then skipped.
+    `basis` lists one standard-form column per row (structural columns
+    0..n-1, then the slack of `<=` row j at n + j) that is invertible and
+    primal feasible; None means the slack basis.
     """
     n = lp.num_vars
     me, mu = lp.eq_rhs.size, lp.ub_rhs.size
     m = me + mu
     if m == 0:
         raise DomainError("program needs at least one constraint")
+    if basis is None:
+        if me:
+            raise DomainError("a program with equality rows needs a starting basis")
+        basis = n + np.arange(mu)
 
-    # Standard form [A | b]: eq rows, then ub rows with their slacks; rows
-    # with a negative right-hand side flipped.
+    # Standard form [A | b]: eq rows, then ub rows with their slacks.
     ab = np.zeros((m, n + mu + 1))
     ab[:me, :n] = lp.eq_lhs
     ab[me:, :n] = lp.ub_lhs
     ab[me:, n:-1] = np.eye(mu)
     ab[:, -1] = np.concatenate([lp.eq_rhs, lp.ub_rhs])
-    flip = ab[:, -1] < 0
-    ab[flip] *= -1.0
-    feas_tol = 1e-7 * (1.0 + float(ab[:, -1].max()))
+    feas_tol = 1e-7 * (1.0 + float(np.abs(ab[:, -1]).max()))
     n_struct = n + mu
-
-    if basis is None:
-        tab, basis, keep, phase1 = _phase1(ab, me, flip, feas_tol)
-        if tab is None:
-            return LpSolution(status=INFEASIBLE, x=None, objective_value=float("nan"),
-                              pivots=(phase1, 0, 0))
-    else:
-        tab, basis = _basis_tableau(ab, basis, feas_tol)
-        keep, phase1 = np.ones(m, dtype=bool), 0
+    tab, basis = _basis_tableau(ab, basis, feas_tol)
 
     cost = _priced(lp.objective, tab, basis)
     status, phase2 = _run_simplex(tab, cost, basis, n_struct)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, x=None, objective_value=float("-inf"),
-                          pivots=(phase1, phase2, 0))
+                          pivots=(phase2, 0))
 
     # Tie stage: the tie objective over the optimal face only.
     tie = _priced(tie_objective(n), tab, basis)
@@ -252,18 +203,11 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     x = x_full[:n]
     obj = float(lp.objective @ x)
 
-    # Duals: solve B^T y = c_B on the kept rows of the flipped system.
-    kept_rows = np.flatnonzero(keep)
-    y = np.zeros(m)
-    if kept_rows.size:
-        basis_cols = ab[np.ix_(kept_rows, basis)]
-        c_basis = np.zeros(basis.size)
-        struct_mask = basis < n
-        c_basis[struct_mask] = lp.objective[basis[struct_mask]]
-        try:
-            y[kept_rows] = np.linalg.solve(basis_cols.T, c_basis)
-        except np.linalg.LinAlgError:
-            y[:] = np.nan
-    y[flip] *= -1.0
+    # Duals: solve B^T y = c_B.
+    c_basis = np.concatenate([lp.objective, np.zeros(mu)])[basis]
+    try:
+        y = np.linalg.solve(ab[:, basis].T, c_basis)
+    except np.linalg.LinAlgError:
+        y = np.full(m, np.nan)
     return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y,
-                      pivots=(phase1, phase2, ties))
+                      pivots=(phase2, ties))

@@ -19,8 +19,8 @@ def _reading(path):
     """Any failure to read or convert the file at path, as a DomainError naming it."""
     try:
         yield
-    except DomainError:
-        raise
+    except DomainError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -42,6 +42,14 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise DomainError(f"{where} is missing required key {key!r}")
     return doc[key]
+
+
+def _int(doc: dict, key: str, where: str) -> int:
+    """doc[key] as a JSON integer; 3.9 or true is an error, not 3 or 1."""
+    value = _require(doc, key, where)
+    if type(value) is not int:
+        raise DomainError(f"{where}: {key!r} must be an integer, not {value!r}")
+    return value
 
 
 def _known_keys(doc, allowed, where: str):
@@ -69,9 +77,9 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
 
 def mdp_from_dict(doc: dict) -> TabularMdp:
     return TabularMdp(
-        num_states=int(_require(doc, "num_states", "MDP document")),
-        num_actions=int(_require(doc, "num_actions", "MDP document")),
-        initial_state=int(_require(doc, "initial_state", "MDP document")),
+        num_states=_int(doc, "num_states", "MDP document"),
+        num_actions=_int(doc, "num_actions", "MDP document"),
+        initial_state=_int(doc, "initial_state", "MDP document"),
         transitions=np.asarray(_require(doc, "transitions", "MDP document"), dtype=float),
         discount=float(_require(doc, "gamma", "MDP document")),
     )
@@ -145,7 +153,7 @@ def save_constraint(spec: ConstraintSpec, path) -> None:
 
 
 def load_support(path) -> frozenset[int]:
-    return _load_json(path, lambda doc: frozenset(_indices(doc, "states", f"support document {path}")))
+    return _load_json(path, lambda doc: frozenset(_indices(doc, "states", "support document")))
 
 
 def save_support(states, path) -> None:
@@ -189,11 +197,11 @@ def load_trajectories(path) -> TrajectoryDataset:
                 if not line:
                     continue
                 doc = json.loads(line)
-                where = f"{path} line {line_no}"
+                where = f"line {line_no}"
                 states.append(_indices(doc, "states", where))
                 actions.append(_indices(doc, "actions", where))
         if not states:
-            raise DomainError(f"no trajectories in {path}")
+            raise DomainError("no trajectories")
         lengths = {len(s) for s in states} | {len(a) for a in actions}
         if len(lengths) != 1:
             raise DomainError("all trajectories must share one length")

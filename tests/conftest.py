@@ -52,18 +52,24 @@ def det_policy(actions, num_actions: int) -> PolicyTable:
     return PolicyTable.from_actions(actions, num_actions)
 
 
-def solve_permuted(program: LinearProgram, perm: np.ndarray) -> np.ndarray:
-    """x of `program` solved cold with its columns and its tie weights permuted
-    by perm, put back in the original column order."""
-    weights = lp_module.tie_objective(program.num_vars)
+def solve_permuted(program: LinearProgram, perm: np.ndarray, basis=None) -> np.ndarray:
+    """x of `program` solved with its columns and its tie weights permuted by
+    perm, from `basis` with its structural columns moved along, put back in
+    the original column order."""
+    n = program.num_vars
+    weights = lp_module.tie_objective(n)
     permuted = LinearProgram(
         program.objective[perm], program.eq_lhs[:, perm], program.eq_rhs,
         program.ub_lhs[:, perm], program.ub_rhs,
     )
+    if basis is not None:
+        basis = np.array(basis)
+        structural = basis < n
+        basis[structural] = np.argsort(perm)[basis[structural]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "tie_objective", lambda n: weights[perm])
-        sol = solve(permuted)
+        mp.setattr(lp_module, "tie_objective", lambda size: weights[perm])
+        sol = solve(permuted, basis)
     assert sol.status == OPTIMAL
-    x = np.empty(program.num_vars)
+    x = np.empty(n)
     x[perm] = sol.x
     return x

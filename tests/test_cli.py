@@ -275,6 +275,49 @@ def test_malformed_input_file_is_a_domain_error(tmp_path, capsys, name, content,
     assert "Traceback" not in err
 
 
+CHAIN_MDP = {"num_states": 2, "num_actions": 2, "initial_state": 0, "gamma": 0.5,
+             "transitions": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.parametrize(
+    "name, content, command",
+    [
+        ("s.json", {**GRID_3X1, "width": 3.9}, ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
+        ("s.json", {**GRID_3X1, "height": True}, ["render", "--spec", "{path}", "--out", "{dir}/g.svg"]),
+        ("m.json", {**CHAIN_MDP, "num_states": 2.0}, ["simulate", "--mdp", "{path}", "--policy", "{dir}/expert.json",
+                                                      "--n", "2", "--h", "2", "--out", "{dir}/t.jsonl"]),
+        ("m.json", {**CHAIN_MDP, "num_actions": 2.5}, ["simulate", "--mdp", "{path}", "--policy", "{dir}/expert.json",
+                                                       "--n", "2", "--h", "2", "--out", "{dir}/t.jsonl"]),
+        ("m.json", {**CHAIN_MDP, "initial_state": False}, ["simulate", "--mdp", "{path}", "--policy",
+                                                           "{dir}/expert.json", "--n", "2", "--h", "2",
+                                                           "--out", "{dir}/t.jsonl"]),
+        ("c.json", {**SCENARIO, "estimator": {"n": 10.5, "h": 5}},
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", {**SCENARIO, "estimator": {"n": 10, "h": 5.0}},
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", {**SCENARIO, "seeds": {"simulate": 1.5}},
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+    ],
+)
+def test_non_integer_count_is_a_domain_error(chain_files, capsys, name, content, command):
+    # 3.9, 2.0 and true are errors, not read as 3, 2 and 1
+    path = chain_files / name
+    path.write_text(json.dumps(content))
+    assert main([arg.format(path=path, dir=chain_files) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "must be an integer" in err
+    assert "Traceback" not in err
+
+
+def test_conversion_error_names_its_file(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"probs": [[0.5, 0.4], [1.0, 0.0]]}))
+    assert main(["centroid", "--model", "mce", "--policy", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "sum to 1" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_occupancy_is_a_domain_error(tmp_path, capsys):
     (tmp_path / "grid3.json").write_text(json.dumps(GRID_3X3))
     # a bare NaN, as Python's json module writes and reads it

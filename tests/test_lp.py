@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rewardcentroids import lp as lp_module
 from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.lp import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -56,13 +55,6 @@ class TestExamples:
         assert sol.status == OPTIMAL
         assert sol.x == pytest.approx([1.0])
         assert sol.objective_value == pytest.approx(-1.0)
-
-    def test_infeasible_equality(self):
-        lp = LinearProgram(
-            objective=[0.0], eq_lhs=[[1.0]], eq_rhs=[-1.0],
-            ub_lhs=np.zeros((0, 1)), ub_rhs=[],
-        )
-        assert solve(lp).status == INFEASIBLE
 
     def test_degenerate_face_resolved_by_tie_weights(self):
         sol = solve(ub_program([-1.0, -1.0], [[1.0, 1.0]], [1.0]))
@@ -141,20 +133,20 @@ class TestDuality:
             assert_dual_certificate(c, A, b, sol)
 
     def test_equality_duals(self, rng):
+        # Equality rows built so that a random pair of columns is a feasible
+        # basis, completed by the slack of the bounding row.
         for _ in range(50):
             n = 4
             c = rng.normal(size=n)
             A = rng.normal(size=(2, n))
-            feasible_point = rng.uniform(0.1, 1.0, size=n)
-            beq = A @ feasible_point
+            start = rng.choice(n, size=2, replace=False)
+            beq = A[:, start] @ rng.uniform(0.5, 1.5, size=2)
             lp = LinearProgram(
-                objective=c, eq_lhs=A, eq_rhs=beq,
-                ub_lhs=np.ones((1, n)), ub_rhs=[feasible_point.sum() + 1.0],
+                objective=c, eq_lhs=A, eq_rhs=beq, ub_lhs=np.ones((1, n)), ub_rhs=[10.0],
             )
-            sol = solve(lp)
-            if sol.status != OPTIMAL:
-                continue
-            rhs_all = np.concatenate([beq, [feasible_point.sum() + 1.0]])
+            sol = solve(lp, basis=np.append(start, n))
+            assert sol.status == OPTIMAL
+            rhs_all = np.concatenate([beq, [10.0]])
             assert sol.dual @ rhs_all == pytest.approx(sol.objective_value, abs=1e-6)
 
 
@@ -230,22 +222,10 @@ class TestDegeneracy:
         assert sol.objective_value == pytest.approx(brute_force_min(c, A, b), abs=1e-8)
         assert_dual_certificate(c, A, b, sol)
 
-    def test_redundant_rows_are_dropped(self):
-        lp = LinearProgram(
-            objective=[1.0, 1.0],
-            eq_lhs=[[1.0, 1.0], [2.0, 2.0]],
-            eq_rhs=[1.0, 2.0],
-            ub_lhs=np.zeros((0, 2)),
-            ub_rhs=[],
-        )
-        sol = solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(1.0)
-
     def test_solution_type(self):
         sol = solve(ub_program([-1.0], [[1.0]], [1.0]))
         assert isinstance(sol, LpSolution)
-        assert sol.pivots == (0, 1, 0)  # no artificial column, one phase-2 pivot, no tie pivot
+        assert sol.pivots == (1, 0)  # one phase-2 pivot, no tie pivot
 
 
 class TestTieStage:
@@ -269,29 +249,35 @@ class TestTieStage:
         b = rng.choice([0.0, 0.0, 1.0, 2.0], size=m)
         total = np.ones((1, c.size))
         if as_equality:
+            # x_j = 2 on the first column j that keeps every ub row feasible
+            fits = np.flatnonzero(np.all(b[:, None] - 2.0 * A >= 0.0, axis=0))
+            if fits.size == 0:
+                return
             program = LinearProgram(c, total, [2.0], A, b)
+            basis = np.append(fits[0], c.size + np.arange(m))
         else:
             program = ub_program(c, np.vstack([A, total]), np.append(b, 2.0))
-        sol = solve(program)
-        if sol.status != OPTIMAL:
-            assert sol.status == INFEASIBLE and as_equality
-            return
+            basis = None
+        sol = solve(program, basis)
+        assert sol.status == OPTIMAL
         perm = rng.permutation(c.size)
-        assert np.abs(solve_permuted(program, perm) - sol.x).max() <= 1e-9
+        assert np.abs(solve_permuted(program, perm, basis) - sol.x).max() <= 1e-9
 
     def test_tie_pivots_are_counted(self):
         # min 0 over x1 + x2 <= 1 with x1 = 1 forced: the whole feasible
         # segment is optimal and the tie weights choose its end x2 = 0.
         program = LinearProgram([0.0, 0.0], [[1.0, 1.0]], [1.0], np.zeros((0, 2)), [])
         sol = solve(program, basis=[int(np.argmax(tie_objective(2)))])
-        assert sol.pivots == (0, 0, 1)
+        assert sol.pivots == (0, 1)
         assert sol.x[np.argmin(tie_objective(2))] == pytest.approx(1.0)
 
 
 class TestStartBasis:
-    def test_same_answer_as_cold_start(self, rng):
+    def test_same_answer_from_every_feasible_start(self, rng):
         # Equality rows built so that a random set of columns is a feasible
-        # basis; duplicated columns make the optimum non-unique.
+        # basis; duplicated columns make the optimum non-unique.  Every
+        # triple of the 8 columns that solve accepts (with the slack of the
+        # bounding row) must reach the same x.
         for _ in range(50):
             m, n = 3, 6
             A = rng.normal(size=(m, n))
@@ -301,13 +287,16 @@ class TestStartBasis:
             c = rng.integers(-2, 3, size=n).astype(float)
             c = np.concatenate([c, c[:2]])
             program = LinearProgram(c, A, b, np.ones((1, n + 2)), [10.0])
-            cold = solve(program)
-            warm = solve(program, basis=np.append(start, n + 2))
-            assert warm.status == cold.status
-            if cold.status != OPTIMAL:
-                continue
-            assert warm.pivots[0] == 0
-            assert np.abs(warm.x - cold.x).max() <= 1e-9
+            xs = []
+            for triple in itertools.combinations(range(n + 2), m):
+                try:
+                    sol = solve(program, basis=np.append(triple, n + 2))
+                except DomainError:
+                    continue
+                assert sol.status == OPTIMAL
+                xs.append(sol.x)
+            assert len(xs) >= 2
+            assert np.abs(np.array(xs) - xs[0]).max() <= 1e-9
 
     @pytest.mark.parametrize(
         "basis, message",
@@ -317,6 +306,7 @@ class TestStartBasis:
             ([0, 5], "one distinct"),
             ([0, 1], "singular"),
             ([0, 4], "not primal feasible"),
+            (None, "needs a starting basis"),
         ],
     )
     def test_bad_start_basis_is_domain_error(self, basis, message):
@@ -328,3 +318,7 @@ class TestStartBasis:
         )
         with pytest.raises(DomainError, match=message):
             solve(program, basis=basis)
+
+    def test_slack_start_needs_nonnegative_rhs(self):
+        with pytest.raises(DomainError, match="not primal feasible"):
+            solve(ub_program([1.0], [[-1.0]], [-1.0]))

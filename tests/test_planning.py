@@ -8,7 +8,7 @@ from rewardcentroids import planning
 from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
 from rewardcentroids.geometry import BehaviorModel, is_feasible
-from rewardcentroids.gridworld import run_scenario
+from rewardcentroids.gridworld import NUM_GRID_ACTIONS, run_scenario
 from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
@@ -54,7 +54,13 @@ def flow_residual(mdp, d):
 
 
 def dense_l1_optimum(target, d_e, constraint=None):
-    """Optimum of the u/v program: d = d_E + u - v, minimize sum(u + v)."""
+    """Optimum of the u/v program: d = d_E + u - v, minimize sum(u + v).
+
+    Its sum(u - v) row is the flow rows' sum over (1 - gamma), so the program
+    has no basis of its own; the value is read from its dual, max eq_rhs y -
+    ub_rhs z over eq_lhs^T y - ub_lhs^T z <= 1 with y free and z >= 0, which
+    starts from the slack basis.
+    """
     sa = d_e.size
     flow = flow_matrix(target)
     rhs = np.zeros(target.num_states)
@@ -67,9 +73,11 @@ def dense_l1_optimum(target, d_e, constraint=None):
         c = constraint.cost.values.ravel()
         ub_lhs = np.vstack([ub_lhs, np.concatenate([c, -c])])
         ub_rhs = np.append(ub_rhs, (1.0 - target.discount) * constraint.budget - c @ d_e)
-    sol = solve(LinearProgram(np.ones(2 * sa), eq_lhs, eq_rhs, ub_lhs, ub_rhs))
+    dual_lhs = np.hstack([eq_lhs.T, -eq_lhs.T, -ub_lhs.T])
+    dual_objective = -np.concatenate([eq_rhs, -eq_rhs, -ub_rhs])
+    sol = solve(LinearProgram(dual_objective, np.zeros((0, dual_lhs.shape[1])), [], dual_lhs, np.ones(2 * sa)))
     assert sol.status == OPTIMAL
-    return sol.objective_value
+    return -sol.objective_value
 
 
 def slack_constraint(mdp, scale=1.0):
@@ -148,11 +156,11 @@ class TestConstrained:
     def test_gridworld_program_starts_at_its_optimum(self, gridworld_programs):
         # figG4d's 500-variable, 101-row program: the greedy policy of its
         # reward meets the budget, so its basis is optimal and the solve takes
-        # no phase-1 and no phase-2 pivot (about 400 from a cold start).
+        # no phase-2 pivot.
         program, basis = gridworld_programs[LP_SCENARIOS.index("figG4d")]
         sol = solve(program, basis)
         assert sol.status == OPTIMAL
-        assert sol.pivots[:2] == (0, 0)
+        assert sol.pivots[0] == 0
 
 
 @pytest.fixture(scope="module")
@@ -176,14 +184,27 @@ def gridworld_programs(tmp_path_factory):
 class TestUniqueOptimum:
     @pytest.mark.parametrize("index", range(len(LP_SCENARIOS)), ids=LP_SCENARIOS)
     def test_same_x_from_any_start_and_column_order(self, gridworld_programs, index):
+        # The other start is the flow basis of a random deterministic policy
+        # with the recorded ub-row part: the first draw that solve accepts.
         program, basis = gridworld_programs[index]
         warm = solve(program, basis)
-        cold = solve(program)
-        assert warm.status == cold.status == OPTIMAL
-        assert warm.pivots[0] == 0 and cold.pivots[0] > 0
+        S = program.eq_rhs.size
+        draws = np.random.default_rng(index)
+        for _ in range(20):
+            other = basis.copy()
+            other[:S] = np.arange(S) * NUM_GRID_ACTIONS + draws.integers(NUM_GRID_ACTIONS, size=S)
+            try:
+                start = solve(program, other)
+                break
+            except DomainError:
+                continue
+        else:
+            pytest.fail("no random policy's basis is feasible")
+        assert warm.status == start.status == OPTIMAL
+        assert warm.pivots != start.pivots
         perm = np.random.default_rng(index).permutation(program.num_vars)
-        assert np.abs(warm.x - cold.x).max() <= 1e-12
-        assert np.abs(solve_permuted(program, perm) - warm.x).max() <= 1e-12
+        assert np.abs(warm.x - start.x).max() <= 1e-12
+        assert np.abs(solve_permuted(program, perm, basis) - warm.x).max() <= 1e-12
 
 
 class TestCertificate:

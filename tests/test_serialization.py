@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rewardcentroids.errors import DomainError
+from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.mdp import PolicyTable
-from rewardcentroids.serialization import load_policy, policy_to_dict, save_policy, write_report
+from rewardcentroids.serialization import _reading, load_policy, policy_to_dict, save_policy, write_report
 
 
 def report_bytes(tmp_path, doc) -> bytes:
@@ -80,3 +80,11 @@ def test_one_hot_rows_load_as_deterministic_whatever_the_legacy_key(tmp_path, fl
     policy = load_policy(path)
     assert policy.deterministic_rows().all()
     assert np.array_equal(policy.probs, PolicyTable.from_actions([1, 0], 2).probs)
+
+
+def test_reading_names_the_file_and_keeps_the_error_type(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(SolverError) as info:
+        with _reading(path):
+            raise SolverError("simplex iteration limit exceeded")
+    assert str(info.value) == f"{path}: simplex iteration limit exceeded"
