@@ -6,7 +6,6 @@ from .mdp import (
     OccupancyMeasure,
     PolicyTable,
     RewardTable,
-    SoftValueFunctions,
     TabularMdp,
     ValueFunctions,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "PolicyTable",
     "RewardTable",
     "SolverError",
-    "SoftValueFunctions",
     "TabularMdp",
     "ValueFunctions",
 ]

@@ -26,6 +26,7 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
+    check_table,
     philox,
     reachable_support,
     transition_matrix,
@@ -144,9 +145,8 @@ def simulate_expert(
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
+    check_table(mdp, expert.probs, "expert")
     S, A = mdp.num_states, mdp.num_actions
-    if expert.probs.shape != (S, A):
-        raise DomainError("expert shape does not match the MDP")
     rng = np.random.Generator(philox(seed))
     policy = _candidates(np.cumsum(expert.probs, axis=1))
     trans = _candidates(np.cumsum(mdp.transitions, axis=2).reshape(S * A, S))

@@ -19,10 +19,12 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
+    ValueFunctions,
     boltzmann_policy,
+    check_table,
+    freeze_field,
     greedy_policy,
     k_pi,
-    soft_optimal_policy,
     soft_value_iteration,
     value_iteration,
     w_matrix,
@@ -35,19 +37,18 @@ BIRL = "birl"
 
 @dataclass(frozen=True)
 class BehaviorModel:
+    """The model's kind and coefficient: none for OPT, lam for MCE, beta for BIRL."""
+
     kind: str
-    lam: float | None = None
-    beta: float | None = None
+    coefficient: float | None = None
 
     def __post_init__(self):
         if self.kind not in (OPT, MCE, BIRL):
             raise DomainError(f"unknown behavior model kind {self.kind!r}")
-        if self.kind == OPT and (self.lam is not None or self.beta is not None):
+        if self.kind == OPT and self.coefficient is not None:
             raise DomainError("OPT carries no coefficient")
-        if self.kind == MCE and (self.lam is None or self.lam <= 0 or self.beta is not None):
-            raise DomainError("MCE requires lam > 0")
-        if self.kind == BIRL and (self.beta is None or self.beta <= 0 or self.lam is not None):
-            raise DomainError("BIRL requires beta > 0")
+        if self.kind != OPT and (self.coefficient is None or self.coefficient <= 0):
+            raise DomainError("MCE requires lam > 0" if self.kind == MCE else "BIRL requires beta > 0")
 
     @classmethod
     def opt(cls) -> "BehaviorModel":
@@ -55,20 +56,11 @@ class BehaviorModel:
 
     @classmethod
     def mce(cls, lam: float) -> "BehaviorModel":
-        return cls(MCE, lam=lam)
+        return cls(MCE, lam)
 
     @classmethod
     def birl(cls, beta: float) -> "BehaviorModel":
-        return cls(BIRL, beta=beta)
-
-    @property
-    def coefficient(self) -> float:
-        """lam for MCE, beta for BIRL."""
-        if self.kind == MCE:
-            return float(self.lam)
-        if self.kind == BIRL:
-            return float(self.beta)
-        raise DomainError("OPT has no coefficient")
+        return cls(BIRL, beta)
 
 
 @dataclass(frozen=True)
@@ -125,14 +117,8 @@ class AdvantageGap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-            raise DomainError("gap values must be a finite 2-d table")
-        if np.any(arr > 0):
+        if np.any(freeze_field(self, "values", "gap values") > 0):
             raise DomainError("gap values must be nonpositive")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
 
 def _require_deterministic(policy: PolicyTable, what: str) -> np.ndarray:
@@ -167,8 +153,7 @@ def t_operator(
     v = np.asarray(v, dtype=float)
     if v.shape != (mdp.num_states,):
         raise DomainError("v must be a length-S vector")
-    if gaps.values.shape != (mdp.num_states, mdp.num_actions):
-        raise DomainError("gaps must be an S x A table")
+    check_table(mdp, gaps.values, "gaps")
     if np.any(gaps.values[np.arange(mdp.num_states), actions] != 0.0):
         raise DomainError("gap at the policy's action must be exactly 0")
     return RewardTable(shaping(mdp, v) + gaps.values)
@@ -179,8 +164,7 @@ def u_operator(mdp: TabularMdp, eta: RewardTable, v: np.ndarray) -> RewardTable:
     v = np.asarray(v, dtype=float)
     if v.shape != (mdp.num_states,):
         raise DomainError("v must be a length-S vector")
-    if eta.values.shape != (mdp.num_states, mdp.num_actions):
-        raise DomainError("eta must be an S x A table")
+    check_table(mdp, eta.values, "eta")
     return RewardTable(shaping(mdp, v) + eta.values)
 
 
@@ -210,6 +194,13 @@ def eta_birl(policy: PolicyTable, beta: float) -> RewardTable:
     return RewardTable(beta * log_policy(_require_positive_rows(policy), BIRL))
 
 
+def _optimum(mdp: TabularMdp, r: RewardTable, model: BehaviorModel) -> ValueFunctions:
+    """The soft optimum of r for MCE, the hard optimum for OPT and BIRL."""
+    if model.kind == MCE:
+        return soft_value_iteration(mdp, r, model.coefficient)
+    return value_iteration(mdp, r)
+
+
 def is_feasible(
     mdp: TabularMdp,
     expert: PolicyTable,
@@ -235,21 +226,12 @@ def is_feasible(
     if model.kind == OPT:
         if not expert.deterministic_rows()[sup].all():
             raise DomainError("OPT requires an expert deterministic on the support")
-        vf = value_iteration(mdp, r)
-        actions = expert.actions()
-        for s in sup:
-            if vf.q[s, actions[s]] < vf.q[s].max() - tol:
-                return False
-        return True
-    if np.any(expert.probs[sup] <= 0.0):
+    elif np.any(expert.probs[sup] <= 0.0):
         raise DomainError("MCE/BIRL require an expert strictly positive on the support")
-    if model.kind == MCE:
-        soft = soft_value_iteration(mdp, r, model.coefficient)
-        candidate = soft_optimal_policy(soft)
-    else:
-        vf = value_iteration(mdp, r)
-        candidate = boltzmann_policy(vf.q, model.coefficient)
-    gap = np.abs(candidate.probs[sup] - expert.probs[sup])
+    opt = _optimum(mdp, r, model)
+    if model.kind == OPT:
+        return bool(np.all(opt.q[sup, expert.actions()[sup]] >= opt.q[sup].max(axis=1) - tol))
+    gap = np.abs(boltzmann_policy(opt.q, model.coefficient).probs[sup] - expert.probs[sup])
     return bool(gap.max() <= tol)
 
 
@@ -262,21 +244,10 @@ def is_in_bounded_set(
     (value bound scaled by k_pi); MCE and BIRL bound the soft/hard optimal
     value and advantage directly.
     """
-    model = params.model
-    if model.kind == MCE:
-        soft = soft_value_iteration(mdp, r, model.coefficient)
-        v, adv = soft.v, soft.advantage
-        c1_bound = params.c1
-    elif model.kind == BIRL:
-        vf = value_iteration(mdp, r)
-        v, adv = vf.v, vf.advantage
-        c1_bound = params.c1
-    else:
-        vf = value_iteration(mdp, r)
-        v, adv = vf.v, vf.advantage
-        c1_bound = params.c1 * k_pi(mdp, greedy_policy(vf))
+    opt = _optimum(mdp, r, params.model)
+    c1_bound = params.c1 * (k_pi(mdp, greedy_policy(opt)) if params.model.kind == OPT else 1.0)
     return bool(
-        np.abs(v).max() <= c1_bound + tol and np.abs(adv).max() <= params.c2 + tol
+        np.abs(opt.v).max() <= c1_bound + tol and np.abs(opt.advantage).max() <= params.c2 + tol
     )
 
 

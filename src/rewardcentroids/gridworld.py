@@ -29,12 +29,13 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
+    check_table,
     occupancy_measure,
     reachable_support,
 )
 from .planning import ConstraintSpec, bc_policy, best_case_reward, mimic_policy, plan
 from .render import MOVES, render_grid_svg
-from .serialization import _int, _known_keys, _load_json, load_policy, write_report
+from .serialization import _indices, _int, _known_keys, _load_json, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = len(MOVES)
@@ -89,10 +90,13 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
     return GridworldSpec(
         width=_int(doc, "width", "grid spec"),
         height=_int(doc, "height", "grid spec"),
-        initial_cell=tuple(doc["initial_cell"]),
+        initial_cell=tuple(_indices(doc, "initial_cell", "grid spec")),
         gamma=float(doc["gamma"]),
         reversed=reversed_,
-        blocked_cells=tuple(tuple(c) for c in doc.get("blocked_cells", [])),
+        blocked_cells=tuple(
+            tuple(_indices({"blocked cell": c}, "blocked cell", "grid spec"))
+            for c in doc.get("blocked_cells", [])
+        ),
         expert_policy_file=policy_file,
     )
 
@@ -219,8 +223,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     if source_spec.expert_policy_file is None:
         raise DomainError(f"scenario {name!r} needs an expert policy fixture")
     expert = load_policy(source_spec.expert_policy_file)
-    if expert.probs.shape != (source.num_states, source.num_actions):
-        raise DomainError("expert fixture shape does not match the grid")
+    check_table(source, expert.probs, "expert fixture")
     support = reachable_support(source, expert)
 
     planner, model = scenario.planner, scenario.model

@@ -25,7 +25,7 @@ import numpy as np
 from .centroids import CentroidRequest
 from .errors import DomainError
 from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, shaping
-from .mdp import PolicyTable, RewardTable, TabularMdp, k_pi, philox, w_matrix
+from .mdp import PolicyTable, RewardTable, TabularMdp, check_table, k_pi, philox, w_matrix
 
 CHUNK = 1 << 17
 MAX_ENUMERATED_POLICIES = 4096
@@ -189,8 +189,7 @@ def mc_volume_fraction(
         raise DomainError("box must be a nonempty interval")
     if not policy.deterministic_rows().all():
         raise DomainError("volume fractions require a deterministic policy")
-    if policy.probs.shape != (mdp.num_states, mdp.num_actions):
-        raise DomainError("policy shape does not match the MDP")
+    check_table(mdp, policy.probs, "policy")
     if params is None:
         hit = _PolicyEvaluator(mdp, policy.actions()).optimal_mask
     else:
@@ -243,9 +242,8 @@ def mc_centroid_opt(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    check_table(mdp, expert.probs, "expert")
     req = CentroidRequest(expert, support, BehaviorModel.opt(), mdp.num_actions)
-    if req.num_states != mdp.num_states:
-        raise DomainError("expert shape does not match the MDP")
     box = bounding_box(params, mdp.discount)
     rows, evaluators = _all_policies(mdp)
     on = sorted(req.support)
@@ -278,8 +276,7 @@ def mc_centroid_manifold(
         raise DomainError("c1 must be positive")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if eta.values.shape != (mdp.num_states, mdp.num_actions):
-        raise DomainError("eta shape does not match the MDP")
+    check_table(mdp, eta.values, "eta")
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         return shaping(mdp, rng.uniform(-c1, c1, size=(size, mdp.num_states))) + eta.values

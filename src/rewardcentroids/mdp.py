@@ -28,14 +28,18 @@ def philox(seed: int) -> np.random.Philox:
     return np.random.Philox(key=seed)
 
 
-def _as_readonly(a, shape, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.shape != shape:
+def freeze_field(obj, field: str, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Set obj.field, on a frozen dataclass, to a read-only float copy that has
+    the given shape (else two axes) and finite entries; returns the copy."""
+    arr = np.array(getattr(obj, field), dtype=float, order="C")
+    if shape is None and arr.ndim != 2:
+        raise DomainError(f"{name} must be a 2-d table")
+    if shape is not None and arr.shape != shape:
         raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite entries")
-    arr = arr.copy()
+        raise DomainError(f"{name} must be finite")
     arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
     return arr
 
 
@@ -60,17 +64,12 @@ class TabularMdp:
             raise DomainError("initial_state out of range")
         if not (0.0 <= self.discount < 1.0):
             raise DomainError("discount must lie in [0, 1)")
-        p = _as_readonly(
-            self.transitions,
-            (self.num_states, self.num_actions, self.num_states),
-            "transitions",
-        )
+        shape = (self.num_states, self.num_actions, self.num_states)
+        p = freeze_field(self, "transitions", "transitions", shape)
         if np.any(p < 0):
             raise DomainError("transitions contain negative probabilities")
-        row_sums = p.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_ATOL):
+        if np.any(np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_ATOL):
             raise DomainError("each (s, a) transition row must sum to 1")
-        object.__setattr__(self, "transitions", p)
 
 
 @dataclass(frozen=True)
@@ -80,18 +79,7 @@ class RewardTable:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise DomainError("reward values must be a 2-d table")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("reward values must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        freeze_field(self, "values", "reward values")
 
 
 @dataclass(frozen=True)
@@ -101,16 +89,11 @@ class PolicyTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.ndim != 2:
-            raise DomainError("policy probs must be a 2-d table")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise DomainError("policy probs must be finite and nonnegative")
+        arr = freeze_field(self, "probs", "policy probs")
+        if np.any(arr < 0):
+            raise DomainError("policy probs must be nonnegative")
         if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
             raise DomainError("each policy row must sum to 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
 
     @classmethod
     def from_actions(cls, actions, num_actions: int) -> "PolicyTable":
@@ -131,17 +114,11 @@ class PolicyTable:
 
 @dataclass(frozen=True)
 class ValueFunctions:
+    """Values v, q and advantage q - v of a policy, or of the hard or soft optimum."""
+
     v: np.ndarray
     q: np.ndarray
     advantage: np.ndarray
-
-
-@dataclass(frozen=True)
-class SoftValueFunctions:
-    v: np.ndarray
-    q: np.ndarray
-    advantage: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -151,20 +128,18 @@ class OccupancyMeasure:
     d: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.d, dtype=float)
-        if arr.ndim != 2 or np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise DomainError("occupancy must be a finite, nonnegative 2-d table")
+        arr = freeze_field(self, "d", "occupancy")
+        if np.any(arr < 0):
+            raise DomainError("occupancy must be nonnegative")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise DomainError("occupancy must sum to 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "d", arr)
 
     def state_marginal(self) -> np.ndarray:
         return self.d.sum(axis=1)
 
 
-def _check_shape(mdp: TabularMdp, table: np.ndarray, name: str) -> None:
+def check_table(mdp: TabularMdp, table: np.ndarray, name: str) -> None:
+    """DomainError unless the table is S x A for the MDP."""
     if table.shape != (mdp.num_states, mdp.num_actions):
         raise DomainError(
             f"{name} has shape {table.shape}, expected "
@@ -195,7 +170,7 @@ def value_iteration(mdp: TabularMdp, r: RewardTable) -> ValueFunctions:
     q = r + gamma P v and improve greedily until no action changes.  Returns
     that q and v = max_a q, so the advantage has a zero row-wise maximum.
     """
-    _check_shape(mdp, r.values, "reward")
+    check_table(mdp, r.values, "reward")
     S = mdp.num_states
     rows = np.arange(S)
     actions = _greedy_actions(r.values)
@@ -224,7 +199,7 @@ def _log_softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z - log_norm, (m + log_norm)[:, 0]
 
 
-def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> SoftValueFunctions:
+def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> ValueFunctions:
     """Entropy-regularized optimality fixed point, v = lam * logsumexp(q / lam).
 
     Soft policy iteration, Newton's method on the soft Bellman equation
@@ -232,10 +207,11 @@ def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> SoftVal
     evaluate pi exactly on the reward r - lam log pi, take q = r + gamma P v
     and improve to pi = softmax(q / lam).  It stops once the soft backup moves
     v by no more than the solve's rounding level, 4 S eps (1 + max |v|).
+    The soft-optimal policy is boltzmann_policy(q, lam).
     """
     if lam <= 0:
         raise DomainError("lam must be positive")
-    _check_shape(mdp, r.values, "reward")
+    check_table(mdp, r.values, "reward")
     stop = 4.0 * mdp.num_states * np.finfo(float).eps
     log_pi, _ = _log_softmax_rows(r.values / lam)
     for _ in range(MAX_POLICY_ITERATIONS):
@@ -244,13 +220,13 @@ def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> SoftVal
         log_pi, log_norm = _log_softmax_rows(q / lam)
         v = lam * log_norm
         if np.abs(v - vf.v).max() <= stop * (1.0 + np.abs(v).max()):
-            return SoftValueFunctions(v=v, q=q, advantage=q - v[:, None], lam=lam)
+            return ValueFunctions(v=v, q=q, advantage=q - v[:, None])
     raise SolverError(f"soft policy iteration did not stop within {MAX_POLICY_ITERATIONS} steps")
 
 
 def transition_matrix(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
     """State-to-state chain P_pi(s, s') = sum_a pi(a|s) p(s'|s, a)."""
-    _check_shape(mdp, policy.probs, "policy")
+    check_table(mdp, policy.probs, "policy")
     return np.einsum("sa,sap->sp", policy.probs, mdp.transitions)
 
 
@@ -261,7 +237,7 @@ def w_matrix(mdp: TabularMdp, policy: PolicyTable) -> np.ndarray:
 
 def policy_evaluation(mdp: TabularMdp, policy: PolicyTable, r: RewardTable) -> ValueFunctions:
     """Exact v^pi via the dense linear solve W_pi v = r^pi."""
-    _check_shape(mdp, r.values, "reward")
+    check_table(mdp, r.values, "reward")
     r_pi = (policy.probs * r.values).sum(axis=1)
     v = np.linalg.solve(w_matrix(mdp, policy), r_pi)
     q = r.values + mdp.discount * expected_next_values(mdp, v)
@@ -283,7 +259,7 @@ def reachable_support(mdp: TabularMdp, policy: PolicyTable) -> frozenset[int]:
     Uses exact zero tests on policy and transition entries, matching the
     support semantics of the visitation distribution.
     """
-    _check_shape(mdp, policy.probs, "policy")
+    check_table(mdp, policy.probs, "policy")
     seen = {mdp.initial_state}
     frontier = [mdp.initial_state]
     while frontier:
@@ -310,11 +286,6 @@ def boltzmann_policy(q: np.ndarray, temperature: float) -> PolicyTable:
         raise DomainError("temperature must be positive")
     log_pi, _ = _log_softmax_rows(np.asarray(q, dtype=float) / temperature)
     return PolicyTable(np.exp(log_pi))
-
-
-def soft_optimal_policy(soft: SoftValueFunctions) -> PolicyTable:
-    """The policy proportional to exp(q / lam) for soft-optimal q."""
-    return boltzmann_policy(soft.q, soft.lam)
 
 
 def greedy_policy(vf: ValueFunctions) -> PolicyTable:

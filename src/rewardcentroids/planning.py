@@ -36,10 +36,10 @@ from .mdp import (
     PolicyTable,
     RewardTable,
     TabularMdp,
+    check_table,
     greedy_policy,
     occupancy_measure,
     philox,
-    policy_evaluation,
     value_iteration,
 )
 
@@ -95,8 +95,7 @@ def _occupancy_lp(
     ub_lhs = np.zeros((0, n))
     ub_rhs = np.zeros(0)
     if constraint is not None:
-        if constraint.cost.shape != (S, A):
-            raise DomainError("constraint cost shape does not match the MDP")
+        check_table(mdp, constraint.cost.values, "constraint cost")
         row = np.zeros((1, n))
         row[0, : S * A] = constraint.cost.values.ravel()
         ub_lhs = np.vstack([ub_lhs, row])
@@ -172,8 +171,7 @@ def _solve_occupancy(
 
 def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec) -> PlanResult:
     """Maximize V(s0; r) over policies whose cost value stays within budget."""
-    if r.shape != (mdp.num_states, mdp.num_actions):
-        raise DomainError("reward shape does not match the MDP")
+    check_table(mdp, r.values, "reward")
     lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
     actions, _ = _crash(
         mdp, plan_unconstrained(mdp, r).actions(), constraint, "no policy satisfies the cost budget"
@@ -186,12 +184,14 @@ def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec
 
 
 def plan(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec | None = None) -> PlanResult:
-    """plan_constrained under a constraint; else the greedy plan and its value at s0."""
+    """plan_constrained under a constraint; else the greedy plan.  Either way the
+    value at s0 is read off the occupancy, sum(d * r) / (1 - gamma)."""
     if constraint is not None:
         return plan_constrained(mdp, r, constraint)
     policy = plan_unconstrained(mdp, r)
-    value = float(policy_evaluation(mdp, policy, r).v[mdp.initial_state])
-    return PlanResult(policy=policy, occupancy=occupancy_measure(mdp, policy), value=value)
+    occ = occupancy_measure(mdp, policy)
+    value = float((occ.d * r.values).sum() / (1.0 - mdp.discount))
+    return PlanResult(policy=policy, occupancy=occ, value=value)
 
 
 def mimic_policy(

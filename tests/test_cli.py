@@ -150,6 +150,13 @@ def test_mimic_subcommand(chain_files, capsys):
     assert doc["l1_distance"] == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("check", ["centroid-opt", "centroid-prior"])
+def test_geometry_centroid_check_passes(check, capsys):
+    assert main(["geometry", "--check", check, "--n", "20000", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["check"] == check and doc["pass"] is True
+
+
 def test_geometry_prop2_check(capsys):
     assert main(["geometry", "--check", "prop2", "--n", "10", "--seed", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -307,6 +314,45 @@ def test_non_integer_count_is_a_domain_error(chain_files, capsys, name, content,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "must be an integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cells", [{"initial_cell": [0.5, 0]}, {"initial_cell": [1.0, 0]}, {"blocked_cells": [[1.0, 0]]}]
+)
+def test_grid_spec_cells_must_be_json_integers(tmp_path, capsys, cells):
+    # 0.5 and 1.0 are errors, not written into mdp.json as the initial state
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**GRID_3X1, **cells}))
+    assert main(["gridworld", "build", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_path}: ") and "must be a list of integers" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "mdp.json").exists()
+
+
+ESTIMATE_OPT = ["estimate", "--model", "opt", "--num-states", "2", "--num-actions", "2", "--data"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("", "no trajectories"),
+     ('{"states": [0, 1], "actions": [1, 0]}\n{"states": [0], "actions": [1]}\n', "share one length")],
+)
+def test_trajectory_file_errors_name_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text(content)
+    assert main([*ESTIMATE_OPT, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_blank_line_between_trajectories_is_skipped(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"states": [0, 1], "actions": [1, 0]}\n\n{"states": [0, 1], "actions": [1, 0]}\n')
+    assert load_trajectories(path).num_trajectories == 2
+    assert main([*ESTIMATE_OPT, str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["values"] == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_conversion_error_names_its_file(tmp_path, capsys):

@@ -40,7 +40,7 @@ def strictly_positive_policy(rng, num_states, num_actions):
 class TestBehaviorModel:
     def test_opt_rejects_coefficients(self):
         with pytest.raises(DomainError):
-            BehaviorModel("opt", lam=1.0)
+            BehaviorModel("opt", coefficient=1.0)
 
     def test_mce_requires_positive_lambda(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from rewardcentroids.mdp import (
     random_mdp,
     random_policy,
     reachable_support,
-    soft_optimal_policy,
     soft_value_iteration,
     value_iteration,
     w_matrix,
@@ -347,12 +346,6 @@ class TestPolicies:
     def test_boltzmann_overflow_safe(self):
         policy = boltzmann_policy(np.array([[1e6, 0.0]]), 1.0)
         assert policy.probs[0, 0] == pytest.approx(1.0)
-
-    def test_soft_optimal_policy_matches_boltzmann(self, rng):
-        mdp = random_mdp(3, 2, 0.8, rng)
-        soft = soft_value_iteration(mdp, RewardTable(rng.normal(size=(3, 2))), lam=0.7)
-        direct = boltzmann_policy(soft.q, 0.7)
-        assert soft_optimal_policy(soft).probs == pytest.approx(direct.probs)
 
     @settings(max_examples=40, deadline=None)
     @given(
