@@ -35,7 +35,13 @@ from .mdp import (
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    """N state-action trajectories of shared length H."""
+    """N state-action trajectories of shared length H.
+
+    The indices keep the integer type they are given in (uint64 becomes
+    np.intp).  They are stored time-major: states and actions are (N, H)
+    transposed views of read-only (H, N) copies, so `states.T[t]` is step t
+    of every trajectory.
+    """
 
     states: np.ndarray
     actions: np.ndarray
@@ -44,17 +50,18 @@ class TrajectoryDataset:
         states, actions = np.asarray(self.states), np.asarray(self.actions)
         if not (np.issubdtype(states.dtype, np.integer) and np.issubdtype(actions.dtype, np.integer)):
             raise DomainError("state/action indices must be integers (not floats or booleans)")
-        states, actions = states.astype(np.int64, order="C"), actions.astype(np.int64, order="C")
         if states.ndim != 2 or states.shape != actions.shape:
             raise DomainError("states and actions must be N x H integer arrays")
         if states.shape[1] < 1:
             raise DomainError("trajectories must have length >= 1")
-        if np.any(states < 0) or np.any(actions < 0):
-            raise DomainError("state/action indices must be nonnegative")
-        states.setflags(write=False)
-        actions.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
+        for name, indices in (("states", states), ("actions", actions)):
+            # a type that np.intp cannot hold (uint64) is read as np.intp
+            dtype = indices.dtype if np.can_cast(indices.dtype, np.intp) else np.intp
+            time_major = np.array(indices.T, dtype=dtype, order="C")
+            if np.any(time_major < 0):
+                raise DomainError("state/action indices must be nonnegative")
+            time_major.setflags(write=False)
+            object.__setattr__(self, name, time_major.T)
 
     @property
     def num_trajectories(self) -> int:
@@ -90,6 +97,11 @@ def _check_dims(data: TrajectoryDataset, dims: tuple[int, int]) -> tuple[int, in
     if data.states.max() >= S or data.actions.max() >= A:
         raise DomainError("trajectory index out of range for the given dims")
     return S, A
+
+
+def _pairs(states: np.ndarray, actions: np.ndarray, A: int) -> np.ndarray:
+    """Pair indices s·A + a, in np.intp whatever the indices' own type."""
+    return states.astype(np.intp) * A + actions
 
 
 def _candidates(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +152,8 @@ def simulate_expert(
     land on (`_candidates`), which picks the same index as comparing it
     with the whole row.  The rollout fills compact time-major (h, n)
     buffers of the smallest unsigned type that holds their indices (for
-    states, also the row index s·A + a); the dataset's own int64 (n, h)
-    copy is the one widening transpose.
+    states, also every pair index s·A + a); the dataset keeps a copy in
+    those types and that layout.
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
@@ -152,12 +164,11 @@ def simulate_expert(
     trans = _candidates(np.cumsum(mdp.transitions, axis=2).reshape(S * A, S))
     states = np.empty((h, n), dtype=np.min_scalar_type(S * A))  # also holds s·A + a
     actions = np.empty((h, n), dtype=np.min_scalar_type(A))
-    width = states.dtype.type(A)
     states[0] = mdp.initial_state
     for t in range(h):
         actions[t] = _draw(*policy, states[t], rng.random(n))
         if t + 1 < h:
-            states[t + 1] = _draw(*trans, states[t] * width + actions[t], rng.random(n))
+            states[t + 1] = _draw(*trans, _pairs(states[t], actions[t], A), rng.random(n))
     return TrajectoryDataset(states=states.T, actions=actions.T)
 
 
@@ -168,7 +179,7 @@ def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitC
     analysis holds for first visits only.
     """
     S, A = _check_dims(data, dims)
-    states, actions = data.states.T, data.actions.T
+    states, actions = data.states.T, data.actions.T  # the time-major (h, n) buffers
     visited = np.zeros(data.num_trajectories * S, dtype=bool)  # (n, S) table, raveled
     first = np.empty(states.shape, dtype=bool)
     row_start = np.arange(data.num_trajectories) * S
@@ -176,16 +187,17 @@ def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitC
         key = row_start + s_t
         first[t] = ~visited.take(key)
         visited[key] = True
-    nsa = np.bincount(states[first] * A + actions[first], minlength=S * A).reshape(S, A)
+    nsa = np.bincount(_pairs(states[first], actions[first], A), minlength=S * A).reshape(S, A)
     return VisitCounts(nsa=nsa, ns=nsa.sum(axis=1))
 
 
 def estimate_opt(data: TrajectoryDataset, dims: tuple[int, int]) -> RewardTable:
     """OPT centroid estimate: 1 on visited pairs, 1/A on unvisited states, else 0."""
     S, A = _check_dims(data, dims)
-    visited_pair = np.zeros((S, A), dtype=bool)
-    visited_pair[data.states.ravel(), data.actions.ravel()] = True
-    return opt_table(visited_pair)
+    visited_pair = np.zeros(S * A, dtype=bool)
+    for s_t, a_t in zip(data.states.T, data.actions.T):  # one step of every trajectory at a time
+        visited_pair[_pairs(s_t, a_t, A)] = True
+    return opt_table(visited_pair.reshape(S, A))
 
 
 def _check_pi_min_prime(pi_min_prime: float) -> None:

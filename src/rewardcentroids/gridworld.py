@@ -35,7 +35,7 @@ from .mdp import (
 )
 from .planning import ConstraintSpec, bc_policy, best_case_reward, mimic_policy, plan
 from .render import MOVES, render_grid_svg
-from .serialization import _indices, _int, _known_keys, _load_json, load_policy, write_report
+from .serialization import _float, _indices, _int, _known_keys, _load_json, load_policy, write_report
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = len(MOVES)
@@ -91,7 +91,7 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
         width=_int(doc, "width", "grid spec"),
         height=_int(doc, "height", "grid spec"),
         initial_cell=tuple(_indices(doc, "initial_cell", "grid spec")),
-        gamma=float(doc["gamma"]),
+        gamma=_float(doc, "gamma", "grid spec"),
         reversed=reversed_,
         blocked_cells=tuple(
             tuple(_indices({"blocked cell": c}, "blocked cell", "grid spec"))
@@ -144,10 +144,10 @@ def _model_from_config(doc) -> BehaviorModel | None:
         return BehaviorModel.opt()
     if kind == MCE:
         _known_keys(doc, ("kind", "lambda"), "model")
-        return BehaviorModel.mce(float(doc.get("lambda", 1.0)))
+        return BehaviorModel.mce(_float(doc, "lambda", "model", default=1.0))
     if kind == BIRL:
         _known_keys(doc, ("kind", "beta"), "model")
-        return BehaviorModel.birl(float(doc.get("beta", 1.0)))
+        return BehaviorModel.birl(_float(doc, "beta", "model", default=1.0))
     raise DomainError(f"unknown behavior model {kind!r}")
 
 
@@ -174,7 +174,7 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
     sampled, estimator = doc.get("estimator", "exact"), None
     if sampled != "exact":
         _known_keys(sampled, ("n", "h", "pi_min_prime"), "estimator")
-        pi_min_prime = float(sampled.get("pi_min_prime", DEFAULT_PI_MIN_PRIME))
+        pi_min_prime = _float(sampled, "pi_min_prime", "estimator", default=DEFAULT_PI_MIN_PRIME)
         estimator = (_int(sampled, "n", "estimator"), _int(sampled, "h", "estimator"), pi_min_prime)
     target = _known_keys(doc.get("target", {}), GRID_KEYS, "target")
     seeds = _known_keys(doc.get("seeds", {}), SEED_KEYS, "seeds")

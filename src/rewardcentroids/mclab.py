@@ -9,9 +9,14 @@ so each policy becomes two fixed matrices applied to a column-laid batch.
 The bounded-set oracles build each deterministic policy's maps once per call
 and its gap once per batch, flagging the policies that must be optimal.
 
-Sampling is chunked; chunk i draws from an independent counter-derived
-substream of the seed, so estimates depend only on (seed, n) no matter how
-chunks are scheduled.
+Sampling is chunked; chunk i of CHUNK samples draws from an independent
+counter-derived substream of the seed, so estimates depend only on (seed, n)
+no matter how chunks are scheduled.  Within a chunk the samples are drawn
+and tested in consecutive blocks of at most BLOCK, so an oracle's
+temporaries stay cache-sized.  Consecutive uniform draws give exactly the
+values of one draw of their total size: the uniform-box oracles accept the
+same samples as whole-chunk draws would, and only the summation order of
+the centroid means follows the blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, shapin
 from .mdp import PolicyTable, RewardTable, TabularMdp, check_table, k_pi, philox, w_matrix
 
 CHUNK = 1 << 17
+BLOCK = 1 << 14  # samples drawn and tested at once within a chunk
 MAX_ENUMERATED_POLICIES = 4096
 BOUNDED_SET_TOL = 1e-9  # slack of _bounded_opt_mask's optimality and bound tests
 
@@ -43,11 +49,13 @@ class McEstimate:
 
 
 def _draws(draw, n: int, seed: int):
-    """draw(rng, size) on chunks of at most CHUNK samples; chunk i uses substream i of the seed."""
+    """draw(rng, size) on blocks of at most BLOCK samples; chunk i of CHUNK uses substream i of the seed."""
     stream = philox(seed)
     for i, start in enumerate(range(0, n, CHUNK)):
         rng = np.random.Generator(stream.jumped(i))
-        yield draw(rng, min(CHUNK, n - start))
+        stop = min(start + CHUNK, n)
+        for lo in range(start, stop, BLOCK):
+            yield draw(rng, min(BLOCK, stop - lo))
 
 
 def _uniform_box(mdp: TabularMdp, box: tuple[float, float]):

@@ -52,6 +52,17 @@ def _int(doc: dict, key: str, where: str) -> int:
     return value
 
 
+def _float(doc: dict, key: str, where: str, default: float | None = None) -> float:
+    """doc[key] as a JSON number, or default when the key is absent (required without one).
+
+    true, "0.5" or null is an error, not 1.0, 0.5 or a conversion failure.
+    """
+    value = _require(doc, key, where) if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{where}: {key!r} must be a number, not {value!r}")
+    return float(value)
+
+
 def _known_keys(doc, allowed, where: str):
     """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored.
 
@@ -81,7 +92,7 @@ def mdp_from_dict(doc: dict) -> TabularMdp:
         num_actions=_int(doc, "num_actions", "MDP document"),
         initial_state=_int(doc, "initial_state", "MDP document"),
         transitions=np.asarray(_require(doc, "transitions", "MDP document"), dtype=float),
-        discount=float(_require(doc, "gamma", "MDP document")),
+        discount=_float(doc, "gamma", "MDP document"),
     )
 
 
@@ -140,7 +151,7 @@ def constraint_to_dict(spec: ConstraintSpec) -> dict:
 def constraint_from_dict(doc: dict) -> ConstraintSpec:
     return ConstraintSpec(
         cost=RewardTable(np.asarray(_require(doc, "cost", "constraint document"), dtype=float)),
-        budget=float(_require(doc, "budget", "constraint document")),
+        budget=_float(doc, "budget", "constraint document"),
     )
 
 

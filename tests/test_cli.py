@@ -316,6 +316,36 @@ def test_non_integer_count_is_a_domain_error(chain_files, capsys, name, content,
     assert "Traceback" not in err
 
 
+SIMULATE = ["simulate", "--mdp", "{path}", "--policy", "{dir}/expert.json", "--n", "2", "--h", "2",
+            "--out", "{dir}/t.jsonl"]
+RUN = ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]
+
+
+@pytest.mark.parametrize(
+    "name, content, command",
+    [
+        ("s.json", {**GRID_3X1, "gamma": False}, ["gridworld", "build", "--spec", "{path}", "--out-dir", "{dir}"]),
+        ("s.json", {**GRID_3X1, "gamma": "0.5"}, ["render", "--spec", "{path}", "--out", "{dir}/g.svg"]),
+        ("m.json", {**CHAIN_MDP, "gamma": None}, SIMULATE),
+        ("m.json", {**CHAIN_MDP, "gamma": True}, SIMULATE),
+        ("c.json", {**SCENARIO, "model": {"kind": "mce", "lambda": False}}, RUN),
+        ("c.json", {**SCENARIO, "model": {"kind": "birl", "beta": "1.0"}}, RUN),
+        ("c.json", {**SCENARIO, "model": "mce", "estimator": {"n": 10, "h": 5, "pi_min_prime": None}}, RUN),
+        ("k.json", {"cost": [[0.0, 1.0], [0.0, 0.0]], "budget": True},
+         ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{dir}/r.json", "--constraint", "{path}"]),
+    ],
+)
+def test_non_number_float_field_is_a_domain_error(chain_files, capsys, name, content, command):
+    # false, true, "0.5" and null are errors, not read as 0.0, 1.0 and 0.5
+    save_reward(RewardTable(np.eye(2)), chain_files / "r.json")
+    path = chain_files / name
+    path.write_text(json.dumps(content))
+    assert main([arg.format(path=path, dir=chain_files) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "must be a number" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "cells", [{"initial_cell": [0.5, 0]}, {"initial_cell": [1.0, 0]}, {"blocked_cells": [[1.0, 0]]}]
 )

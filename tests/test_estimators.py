@@ -32,7 +32,7 @@ from rewardcentroids.geometry import BehaviorModel, log_policy
 from rewardcentroids.gridworld import build_gridworld, spec_from_dict
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import PolicyTable, TabularMdp, random_mdp, reachable_support
-from rewardcentroids.serialization import load_policy
+from rewardcentroids.serialization import load_policy, save_trajectories
 
 from conftest import det_policy
 
@@ -101,7 +101,14 @@ def ring_chain() -> tuple[TabularMdp, PolicyTable]:
 
 
 def trajectory_digest(data: TrajectoryDataset) -> str:
-    return hashlib.sha256(data.states.tobytes() + data.actions.tobytes()).hexdigest()
+    """sha256 of the (n, h) indices widened to int64, C order, whatever the dataset's own layout."""
+    states, actions = (np.ascontiguousarray(x, dtype=np.int64) for x in (data.states, data.actions))
+    return hashlib.sha256(states.tobytes() + actions.tobytes()).hexdigest()
+
+
+def widened(data: TrajectoryDataset) -> TrajectoryDataset:
+    """The same trajectories as int64 (n, h) arrays in C order."""
+    return TrajectoryDataset(states=data.states.astype(np.int64), actions=data.actions.astype(np.int64))
 
 
 class TestDatasets:
@@ -125,6 +132,13 @@ class TestDatasets:
     def test_non_integer_indices_rejected(self, states, actions):
         with pytest.raises(DomainError, match="integer"):
             TrajectoryDataset(states=states, actions=actions)
+
+    def test_uint64_indices_are_read_as_intp(self):
+        data = TrajectoryDataset(states=np.array([[0, 1, 1]], np.uint64), actions=np.array([[1, 0, 1]], np.uint64))
+        assert data.states.dtype == data.actions.dtype == np.intp
+        assert first_visit_counts(data, (2, 2)).nsa.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(DomainError, match="nonnegative"):
+            TrajectoryDataset(states=np.array([[2**63]], np.uint64), actions=np.zeros((1, 1), np.uint64))
 
     def test_counts_consistency_enforced(self):
         with pytest.raises(DomainError):
@@ -162,8 +176,8 @@ class TestSimulate:
         sigma = np.sqrt(n * p1 * (1 - p1))
         assert abs(count - n * p1) <= 3 * sigma
 
-    # sha256 of states.tobytes() + actions.tobytes() (int64, little-endian),
-    # computed with the full-row sampler of commit daf832d
+    # sha256 of states.tobytes() + actions.tobytes() (int64 (n, h) in C order,
+    # little-endian), computed with the full-row sampler of commit daf832d
     PINNED = {
         ("grid", 1): "5e21112ac8d2522c44dae38e25c0015b47585bfe4fe1ea0b94f681081acc3bcf",
         ("grid", 2): "847255a46ce0f357a92fe4e0b5847e0203d8f5244296b57beeca873e7ab663dc",
@@ -211,20 +225,64 @@ class TestSimulate:
         states, actions = dense_simulate(mdp, expert, 40, 6, seed=S)
         assert np.array_equal(data.states, states)
         assert np.array_equal(data.actions, actions)
+        # the dataset keeps the rollout's compact types, time-major and read-only
+        assert data.states.dtype == np.min_scalar_type(S * A)
+        assert data.actions.dtype == np.min_scalar_type(A)
         for arr in (data.states, data.actions):
-            assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+            assert arr.shape == (40, 6) and arr.T.flags.c_contiguous and not arr.flags.writeable
+            assert not arr.T.flags.writeable
 
     def test_grid_rollout_peak_memory(self):
-        # fig3a's grid expert at n = 10,000, h = 100: only the compact
-        # rollout buffers may add to the dataset's own int64 arrays.
+        # fig3a's grid expert at n = 10,000, h = 100: the whole rollout stays
+        # below half of one int64 (n, h) pair of states and actions.
         mdp, expert = fig3a_grid()
+        n, h = 10_000, 100
         tracemalloc.start()
         try:
-            data = simulate_expert(mdp, expert, 10_000, 100, seed=1)
+            simulate_expert(mdp, expert, n, h, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (data.states.nbytes + data.actions.nbytes)
+        assert peak <= 0.5 * n * h * 16
+
+
+class TestCompactDataset:
+    """A dataset in the rollout's compact types gives what its int64 copy gives."""
+
+    @pytest.fixture(scope="class")
+    def grid_data(self):
+        mdp, expert = fig3a_grid()
+        data = simulate_expert(mdp, expert, 2_000, 100, seed=5)
+        assert data.states.dtype == np.uint16 and data.actions.dtype == np.uint8
+        return data, (mdp.num_states, mdp.num_actions)
+
+    def test_counts_and_estimates_match_the_int64_copy(self, grid_data):
+        data, dims = grid_data
+        wide = widened(data)
+        assert wide.states.dtype == np.int64
+        compact_counts, wide_counts = first_visit_counts(data, dims), first_visit_counts(wide, dims)
+        assert np.array_equal(compact_counts.nsa, wide_counts.nsa)
+        for kind in ("opt", "mce", "birl"):
+            assert np.array_equal(estimate(data, dims, kind).values, estimate(wide, dims, kind).values), kind
+
+    def test_pair_index_above_the_index_type_is_counted(self):
+        # s·A + a reaches 499 on uint8 indices: it must not wrap at 256
+        rng = np.random.default_rng(3)
+        S, A, n, h = 100, 5, 40, 30
+        states = rng.integers(S, size=(n, h)).astype(np.uint8)
+        actions = rng.integers(A, size=(n, h)).astype(np.uint8)
+        compact = TrajectoryDataset(states=states, actions=actions)
+        wide = TrajectoryDataset(states=states.astype(np.int64), actions=actions.astype(np.int64))
+        counts = first_visit_counts(compact, (S, A))
+        assert counts.nsa[S // 2 :].sum() > 0
+        assert np.array_equal(counts.nsa, first_visit_counts(wide, (S, A)).nsa)
+        assert np.array_equal(estimate_opt(compact, (S, A)).values, estimate_opt(wide, (S, A)).values)
+
+    def test_saved_file_matches_the_int64_copy(self, grid_data, tmp_path):
+        data, _ = grid_data
+        save_trajectories(data, tmp_path / "compact.jsonl")
+        save_trajectories(widened(data), tmp_path / "wide.jsonl")
+        assert (tmp_path / "compact.jsonl").read_bytes() == (tmp_path / "wide.jsonl").read_bytes()
 
 
 class TestDraw:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,67 @@ def test_bounded_oracles_respect_the_enumeration_cap(S, A, rng, monkeypatch):
             oracle()
 
 
+class TestBlockDraws:
+    """Drawing and testing each chunk in BLOCK-sized pieces changes no membership."""
+
+    PARAMS = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+
+    def test_bounded_mask_of_a_batch_is_its_row_wise_mask(self, rng):
+        mdp = random_mdp(2, 2, 0.5, rng)
+        lo, hi = bounding_box(self.PARAMS, mdp.discount)
+        actions = np.array([0, 1])
+        halfwidth = 1.1 * k_pi(mdp, det_policy(actions, 2))
+        n = 3 * mclab.BLOCK + 5
+        rewards = np.concatenate([
+            rng.uniform(lo, hi, size=(n // 2, 2, 2)),
+            _rewards_near_policy(mdp, actions, rng, n - n // 2, halfwidth, (-1.1, 0.1)),
+        ])
+        rows, evaluators = _all_policies(mdp)
+        wanted = (rows == actions).all(axis=1)
+        batch = _bounded_opt_mask(evaluators, rewards, 1.0, 1.0, wanted)
+        row_wise = [_bounded_opt_mask(evaluators, r[None], 1.0, 1.0, wanted)[0] for r in rewards]
+        assert batch.any() and not batch.all()
+        np.testing.assert_array_equal(batch, row_wise)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_accepted_count_does_not_depend_on_the_block_size(self, rng, monkeypatch, bounded):
+        # 2.5 chunks: two whole chunks of 8 blocks and a ragged last one
+        mdp = random_mdp(2, 2, 0.5, rng)
+        extra = (self.PARAMS,) if bounded else ()
+        box = bounding_box(self.PARAMS, mdp.discount) if bounded else (-1.0, 1.0)
+        n = 5 * mclab.CHUNK // 2 + 7
+
+        def accepted():
+            est = mc_volume_fraction(mdp, det_policy([0, 1], 2), BehaviorModel.opt(), box, n, 11, *extra)
+            return est.n_accepted
+
+        blocked = accepted()
+        monkeypatch.setattr(mclab, "BLOCK", mclab.CHUNK)
+        assert blocked > 0 and accepted() == blocked
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda mdp: mc_volume_fraction(
+                mdp, det_policy([0, 0], 2), BehaviorModel.opt(),
+                bounding_box(TestBlockDraws.PARAMS, mdp.discount), 200_000, 3, TestBlockDraws.PARAMS,
+            ),
+            lambda mdp: mc_centroid_manifold(mdp, RewardTable(np.zeros((2, 2))), 1.0, 200_000, 3),
+        ],
+        ids=["bounded_volume", "manifold"],
+    )
+    def test_oracle_peak_memory(self, rng, oracle):
+        # whole-chunk draws peaked at 14.6 and 10.1 MiB
+        mdp = random_mdp(2, 2, 0.5, rng)
+        tracemalloc.start()
+        try:
+            oracle(mdp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 class TestVolumeFraction:
     def test_rejects_non_opt_model(self, rng):
         mdp = random_mdp(2, 2, 0.5, rng)
@@ -281,7 +344,6 @@ class TestBoundedVolumes:
         # every policy, the endpoints just outside fail, and a sub-threshold
         # c2 empties the slab entirely.
         from rewardcentroids.geometry import u_operator
-        from rewardcentroids.mdp import RewardTable as RT
 
         mdp = one_state_mdp(0.5)
         c1 = 2.0
