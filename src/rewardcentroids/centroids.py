@@ -15,40 +15,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OPT, BehaviorModel, log_policy
-from .mdp import PolicyTable, RewardTable
+from .geometry import OPT, BehaviorModel, check_expert, log_policy
+from .mdp import PolicyTable, RewardTable, support_mask
 
 
 @dataclass(frozen=True)
 class CentroidRequest:
-    """Expert policy plus the visited-state set a centroid is built from."""
+    """Expert policy plus the visited-state set a centroid is built from; S and A are the expert's."""
 
     expert: PolicyTable
     support: frozenset[int]
     model: BehaviorModel
-    num_actions: int
 
     def __post_init__(self):
-        S, A = self.expert.probs.shape
-        if A != self.num_actions:
-            raise DomainError("num_actions does not match the expert table")
-        support = frozenset(int(s) for s in self.support)
-        for s in support:
-            if not (0 <= s < S):
-                raise DomainError("support state out of range")
-        object.__setattr__(self, "support", support)
-        if self.model.kind == OPT:
-            if not self.expert.deterministic_rows()[sorted(support)].all():
-                raise DomainError("OPT centroid requires a deterministic expert on the support")
-        else:
-            if support != frozenset(range(S)):
-                raise DomainError("MCE/BIRL centroids require full support")
-            if np.any(self.expert.probs <= 0.0):
-                raise DomainError("MCE/BIRL centroids require a strictly positive expert")
+        on = support_mask(self.support, self.num_states)
+        object.__setattr__(self, "support", frozenset(np.flatnonzero(on).tolist()))
+        kind = self.model.kind
+        if kind != OPT and not on.all():
+            raise DomainError("MCE/BIRL centroids require full support")
+        check_expert(self.expert, on, kind, f"the {kind.upper()} centroid's expert on its support")
 
     @property
     def num_states(self) -> int:
         return self.expert.probs.shape[0]
+
+    @property
+    def num_actions(self) -> int:
+        return self.expert.probs.shape[1]
 
 
 def opt_table(visited_pairs: np.ndarray) -> RewardTable:

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
-from .mdp import OccupancyMeasure, PolicyTable, RewardTable, TabularMdp, philox, random_mdp
+from .mdp import PolicyTable, RewardTable, TabularMdp, philox, random_mdp
 from .planning import mimic_policy, plan
 from .render import render_grid_svg
 from . import serialization as ser
@@ -45,16 +45,13 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_centroid(args) -> int:
     model = _model_from_args(args)
     policy = ser.load_policy(args.policy)
-    num_states, num_actions = policy.probs.shape
     if model.kind == OPT:
         if args.support is None:
             raise DomainError("the OPT centroid needs --support")
         support = ser.load_support(args.support)
     else:
-        support = frozenset(range(num_states))
-    req = CentroidRequest(
-        expert=policy, support=support, model=model, num_actions=num_actions
-    )
+        support = frozenset(range(policy.probs.shape[0]))
+    req = CentroidRequest(expert=policy, support=support, model=model)
     _emit(ser.reward_to_dict(centroid(req)), args.out)
     return 0
 
@@ -186,10 +183,7 @@ def _check_centroid_opt(n: int, seed: int) -> dict:
     est = mclab.mc_centroid_opt(mdp, expert, support, params, n, seed)
     if est.n_accepted == 0:
         raise DomainError(f"centroid-opt accepted none of {n} samples; use a larger --n")
-    req = CentroidRequest(
-        expert=expert, support=support, model=BehaviorModel.opt(), num_actions=2
-    )
-    closed = centroid(req)
+    closed = centroid(CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt()))
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
     ok = fit.alpha > 0 and fit.residual_sup <= bound
@@ -309,13 +303,13 @@ def _cmd_gridworld(args) -> int:
 
 def _cmd_render(args) -> int:
     spec = _load_spec(args.spec)
-    occupancy = ser._load_json(args.occupancy, lambda doc: OccupancyMeasure(doc["d"])) if args.occupancy else None
+    occupancy = ser.load_occupancy(args.occupancy) if args.occupancy else None
     policy = ser.load_policy(args.policy) if args.policy else None
     support = ser.load_support(args.support) if args.support else None
     try:
         render_grid_svg(occupancy, policy, spec, args.out, support=support)
     except DomainError as exc:
-        files = ", ".join(f for f in (args.spec, args.occupancy, args.policy) if f)
+        files = ", ".join(f for f in (args.spec, args.occupancy, args.policy, args.support) if f)
         raise DomainError(f"cannot render {files}: {exc}") from exc
     return 0
 

@@ -29,6 +29,7 @@ from .mdp import (
     check_table,
     philox,
     reachable_support,
+    support_mask,
     transition_matrix,
 )
 
@@ -270,13 +271,11 @@ def exact_estimate(
     For OPT this is the closed-form centroid itself.
     """
     if kind == OPT:
-        return centroid(CentroidRequest(expert, support, BehaviorModel.opt(), expert.probs.shape[1]))
+        return centroid(CentroidRequest(expert, support, BehaviorModel.opt()))
     if kind not in (MCE, BIRL):
         raise DomainError(f"unknown behavior model kind {kind!r}")
     _check_pi_min_prime(pi_min_prime)
-    visited = np.zeros(expert.probs.shape[0], dtype=bool)
-    visited[sorted(int(s) for s in support)] = True
-    return _clipped_log(expert.probs, visited, pi_min_prime, kind)
+    return _clipped_log(expert.probs, support_mask(support, expert.probs.shape[0]), pi_min_prime, kind)
 
 
 def p_min_h(mdp: TabularMdp, expert: PolicyTable, h: int) -> float:

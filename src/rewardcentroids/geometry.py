@@ -26,6 +26,7 @@ from .mdp import (
     greedy_policy,
     k_pi,
     soft_value_iteration,
+    support_mask,
     value_iteration,
     w_matrix,
 )
@@ -121,10 +122,16 @@ class AdvantageGap:
             raise DomainError("gap values must be nonpositive")
 
 
-def _require_deterministic(policy: PolicyTable, what: str) -> np.ndarray:
-    if not policy.deterministic_rows().all():
-        raise DomainError(f"{what} requires a deterministic policy")
-    return policy.actions()
+def check_expert(expert: PolicyTable, on, kind: str, what: str) -> np.ndarray:
+    """The expert's actions; DomainError, naming the expert as `what`, unless its
+    rows on `on` (a state mask or slice) fit the model kind: one-hot for OPT,
+    strictly positive for MCE and BIRL."""
+    if kind == OPT:
+        if not expert.deterministic_rows()[on].all():
+            raise DomainError(f"{what} must be deterministic")
+    elif np.any(expert.probs[on] <= 0.0):
+        raise DomainError(f"{what} must be strictly positive")
+    return expert.actions()
 
 
 def shaping(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
@@ -149,14 +156,11 @@ def t_operator(
     policy's action.  Running value iteration on the result recovers (v, gaps)
     and makes the policy optimal in every state.
     """
-    actions = _require_deterministic(det_policy, "t_operator")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mdp.num_states,):
-        raise DomainError("v must be a length-S vector")
+    actions = check_expert(det_policy, slice(None), OPT, "t_operator's policy")
     check_table(mdp, gaps.values, "gaps")
     if np.any(gaps.values[np.arange(mdp.num_states), actions] != 0.0):
         raise DomainError("gap at the policy's action must be exactly 0")
-    return RewardTable(shaping(mdp, v) + gaps.values)
+    return u_operator(mdp, RewardTable(gaps.values), v)
 
 
 def u_operator(mdp: TabularMdp, eta: RewardTable, v: np.ndarray) -> RewardTable:
@@ -166,12 +170,6 @@ def u_operator(mdp: TabularMdp, eta: RewardTable, v: np.ndarray) -> RewardTable:
         raise DomainError("v must be a length-S vector")
     check_table(mdp, eta.values, "eta")
     return RewardTable(shaping(mdp, v) + eta.values)
-
-
-def _require_positive_rows(policy: PolicyTable) -> np.ndarray:
-    if np.any(policy.probs <= 0.0):
-        raise DomainError("policy must be strictly positive everywhere")
-    return policy.probs
 
 
 def log_policy(probs: np.ndarray, kind: str) -> np.ndarray:
@@ -184,14 +182,16 @@ def eta_mce(policy: PolicyTable, lam: float) -> RewardTable:
     """The soft-advantage term lam * log pi(a|s)."""
     if lam <= 0:
         raise DomainError("lam must be positive")
-    return RewardTable(lam * log_policy(_require_positive_rows(policy), MCE))
+    check_expert(policy, slice(None), MCE, "eta_mce's policy")
+    return RewardTable(lam * log_policy(policy.probs, MCE))
 
 
 def eta_birl(policy: PolicyTable, beta: float) -> RewardTable:
     """The hard-advantage term beta * log(pi(a|s) / max_a' pi(a'|s))."""
     if beta <= 0:
         raise DomainError("beta must be positive")
-    return RewardTable(beta * log_policy(_require_positive_rows(policy), BIRL))
+    check_expert(policy, slice(None), BIRL, "eta_birl's policy")
+    return RewardTable(beta * log_policy(policy.probs, BIRL))
 
 
 def _optimum(mdp: TabularMdp, r: RewardTable, model: BehaviorModel) -> ValueFunctions:
@@ -217,21 +217,14 @@ def is_feasible(
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    sup = sorted(int(s) for s in support)
-    for s in sup:
-        if not (0 <= s < mdp.num_states):
-            raise DomainError("support state out of range")
-    if not sup:
+    on = support_mask(support, mdp.num_states)
+    if not on.any():
         return True
-    if model.kind == OPT:
-        if not expert.deterministic_rows()[sup].all():
-            raise DomainError("OPT requires an expert deterministic on the support")
-    elif np.any(expert.probs[sup] <= 0.0):
-        raise DomainError("MCE/BIRL require an expert strictly positive on the support")
+    actions = check_expert(expert, on, model.kind, f"for {model.kind.upper()} the expert on its support")
     opt = _optimum(mdp, r, model)
     if model.kind == OPT:
-        return bool(np.all(opt.q[sup, expert.actions()[sup]] >= opt.q[sup].max(axis=1) - tol))
-    gap = np.abs(boltzmann_policy(opt.q, model.coefficient).probs[sup] - expert.probs[sup])
+        return bool(np.all(opt.q[on, actions[on]] >= opt.q[on].max(axis=1) - tol))
+    gap = np.abs(boltzmann_policy(opt.q, model.coefficient).probs[on] - expert.probs[on])
     return bool(gap.max() <= tol)
 
 
@@ -266,7 +259,7 @@ def t_matrix(mdp: TabularMdp, det_policy: PolicyTable) -> np.ndarray:
     coefficients on V, the remaining S(A-1) columns place the gap of each
     non-prescribed action.
     """
-    actions = _require_deterministic(det_policy, "t_matrix")
+    actions = check_expert(det_policy, slice(None), OPT, "t_matrix's policy")
     S, A = mdp.num_states, mdp.num_actions
     mat = np.zeros((S * A, S * A))
     mat[:, :S] = shaping_matrix(mdp)

@@ -165,6 +165,7 @@ class _Scenario:
 
 
 SCENARIO_KEYS = ("gridworld", "target", "planner", "model", "estimator", "seeds", "outputs")
+PLANNERS = ("centroid", "best_case", "mimic", "bc", "expert")
 SEED_KEYS = ("simulate", "best_case")
 OUTPUTS = ("policy_svg", "occupancy_svg", "report_json")
 
@@ -178,11 +179,19 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
         estimator = (_int(sampled, "n", "estimator"), _int(sampled, "h", "estimator"), pi_min_prime)
     target = _known_keys(doc.get("target", {}), GRID_KEYS, "target")
     seeds = _known_keys(doc.get("seeds", {}), SEED_KEYS, "seeds")
+    source = spec_from_dict(doc["gridworld"], base_dir=base_dir)
+    if source.expert_policy_file is None:
+        raise DomainError("the scenario's gridworld needs an expert_policy_file")
+    planner, model = doc.get("planner", "centroid"), _model_from_config(doc.get("model"))
+    if planner not in PLANNERS:
+        raise DomainError(f"unknown planner {planner!r}; accepted: {list(PLANNERS)}")
+    if planner == "centroid" and model is None:
+        raise DomainError("centroid planning needs a behavior model")
     return _Scenario(
-        source=spec_from_dict(doc["gridworld"], base_dir=base_dir),
+        source=source,
         target=spec_from_dict({**doc["gridworld"], **target, "expert_policy_file": None}),
-        planner=doc.get("planner", "centroid"),
-        model=_model_from_config(doc.get("model")),
+        planner=planner,
+        model=model,
         estimator=estimator,
         seeds={key: _int(seeds, key, "seeds") for key in seeds},
         outputs=_known_keys(doc.get("outputs", ["policy_svg", "report_json"]), OUTPUTS, "outputs"),
@@ -220,8 +229,6 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     source, _ = build_gridworld(source_spec)
     target, constraint = build_gridworld(target_spec)
 
-    if source_spec.expert_policy_file is None:
-        raise DomainError(f"scenario {name!r} needs an expert policy fixture")
     expert = load_policy(source_spec.expert_policy_file)
     check_table(source, expert.probs, "expert fixture")
     support = reachable_support(source, expert)
@@ -241,20 +248,16 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
         result = mimic_policy(source, expert, target, constraint)
         policy, occupancy, value = result.policy, result.occupancy, result.l1_distance
     elif planner == "bc":
-        policy = bc_policy(expert, support, source.num_actions)
+        policy = bc_policy(expert, support)
         occupancy = occupancy_measure(target, policy)
         value = None
-    elif planner in ("centroid", "best_case"):
+    else:  # "centroid" or "best_case", the planners left in PLANNERS
         if planner == "centroid":
-            if model is None:
-                raise DomainError("centroid planning needs a behavior model")
             reward = _scenario_reward(scenario, source, expert, support)
         else:
             reward = best_case_reward(source, expert, support, scenario.seeds.get("best_case", 0))
         result = plan(target, reward, constraint)
         policy, occupancy, value = result.policy, result.occupancy, result.value
-    else:
-        raise DomainError(f"unknown planner {planner!r}")
 
     svg_paths: list[str] = []
     outputs = scenario.outputs

@@ -27,15 +27,15 @@ from functools import partial
 
 import numpy as np
 
-from .centroids import CentroidRequest
 from .errors import DomainError
-from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, shaping
-from .mdp import PolicyTable, RewardTable, TabularMdp, check_table, k_pi, philox, w_matrix
+from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, check_expert, shaping
+from .mdp import PolicyTable, RewardTable, TabularMdp, check_table, k_pi, philox, support_mask, w_matrix
 
 CHUNK = 1 << 17
 BLOCK = 1 << 14  # samples drawn and tested at once within a chunk
 MAX_ENUMERATED_POLICIES = 4096
 BOUNDED_SET_TOL = 1e-9  # slack of _bounded_opt_mask's optimality and bound tests
+BIAS_RATIO_GAMMA = 0.999  # discount of both new_env_bias_ratio environments
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,13 @@ def mc_volume_fraction(
     lo, hi = box
     if not lo < hi:
         raise DomainError("box must be a nonempty interval")
-    if not policy.deterministic_rows().all():
-        raise DomainError("volume fractions require a deterministic policy")
+    actions = check_expert(policy, slice(None), OPT, "a volume fraction's policy")
     check_table(mdp, policy.probs, "policy")
     if params is None:
-        hit = _PolicyEvaluator(mdp, policy.actions()).optimal_mask
+        hit = _PolicyEvaluator(mdp, actions).optimal_mask
     else:
         rows, evaluators = _all_policies(mdp)
-        wanted = (rows == policy.actions()).all(axis=1)
+        wanted = (rows == actions).all(axis=1)
         hit = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
     return _bernoulli_fraction(_uniform_box(mdp, box), hit, n, seed)
 
@@ -225,9 +224,8 @@ def segment_volume_1d(
         raise DomainError("segment volume applies to MCE/BIRL only")
     if box_halfwidth <= 0:
         raise DomainError("box_halfwidth must be positive")
+    check_expert(policy, slice(None), model.kind, "a segment volume's policy")
     p = policy.probs[0]
-    if np.any(p <= 0.0):
-        raise DomainError("policy must be strictly positive")
     shift = model.coefficient * float(np.log(p[0]) - np.log(p[1]))
     b = box_halfwidth
     length = min(b, b - shift) - max(-b, -b - shift)
@@ -251,11 +249,11 @@ def mc_centroid_opt(
     if n < 1:
         raise DomainError("n must be >= 1")
     check_table(mdp, expert.probs, "expert")
-    req = CentroidRequest(expert, support, BehaviorModel.opt(), mdp.num_actions)
+    on = support_mask(support, mdp.num_states)
+    actions = check_expert(expert, on, OPT, "mc_centroid_opt's expert on its support")
     box = bounding_box(params, mdp.discount)
     rows, evaluators = _all_policies(mdp)
-    on = sorted(req.support)
-    wanted = (rows[:, on] == expert.actions()[on]).all(axis=1)
+    wanted = (rows[:, on] == actions[on]).all(axis=1)
     accept = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
@@ -322,7 +320,7 @@ def new_env_bias_ratio_closed_form(c2: float) -> float:
     return c2 * c2 / 24.0 - c2 / 4.0 + 0.5
 
 
-def new_env_bias_ratio(c2: float, n: int, seed: int, gamma: float = 0.999) -> McEstimate:
+def new_env_bias_ratio(c2: float, n: int, seed: int) -> McEstimate:
     """Cross-environment volume ratio of the bounded prior, estimated by MC.
 
     Draws uniformly from the bounded feasible slab of the policy (jump, stay)
@@ -336,7 +334,7 @@ def new_env_bias_ratio(c2: float, n: int, seed: int, gamma: float = 0.999) -> Mc
         raise DomainError("c2 must be positive")
     if n < 1:
         raise DomainError("n must be >= 1")
-    src, dst = _bias_ratio_instances(gamma)
+    src, dst = _bias_ratio_instances(BIAS_RATIO_GAMMA)
     sample_policy = PolicyTable.from_actions([1, 0], 2)  # jump-flavored action in s0, loop in s1
     target = _PolicyEvaluator(dst, np.array([0, 0]))
     v_halfwidth = 1.0 * k_pi(src, sample_policy)  # c1 = 1

@@ -147,6 +147,16 @@ def check_table(mdp: TabularMdp, table: np.ndarray, name: str) -> None:
         )
 
 
+def support_mask(support, num_states: int) -> np.ndarray:
+    """Per state, whether it is in the support; DomainError for a state outside [0, num_states)."""
+    states = [int(s) for s in support]
+    if any(not 0 <= s < num_states for s in states):
+        raise DomainError("support state out of range")
+    mask = np.zeros(num_states, dtype=bool)
+    mask[states] = True
+    return mask
+
+
 def expected_next_values(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     """E[v(s') | s, a] as an S x A table."""
     return mdp.transitions @ v

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
-from .geometry import AdvantageGap, shaping_matrix, t_operator
+from .geometry import OPT, AdvantageGap, check_expert, shaping_matrix, t_operator
 from .lp import OPTIMAL, LinearProgram, solve
 from .mdp import (
     OccupancyMeasure,
@@ -40,6 +40,7 @@ from .mdp import (
     greedy_policy,
     occupancy_measure,
     philox,
+    support_mask,
     value_iteration,
 )
 
@@ -238,15 +239,10 @@ def mimic_policy(
     return MimicResult(policy=policy, occupancy=occ, l1_distance=l1)
 
 
-def bc_policy(expert: PolicyTable, support: frozenset[int] | set[int], num_actions: int) -> PolicyTable:
+def bc_policy(expert: PolicyTable, support: frozenset[int] | set[int]) -> PolicyTable:
     """Behavioral cloning: the expert on its support, uniform elsewhere."""
     S, A = expert.probs.shape
-    if A != num_actions:
-        raise DomainError("num_actions does not match the expert table")
-    probs = np.full((S, A), 1.0 / A)
-    rows = sorted(int(s) for s in support)
-    probs[rows] = expert.probs[rows]
-    return PolicyTable(probs)
+    return PolicyTable(np.where(support_mask(support, S)[:, None], expert.probs, 1.0 / A))
 
 
 def best_case_reward(
@@ -264,11 +260,9 @@ def best_case_reward(
     """
     rng = np.random.Generator(philox(seed))
     S, A = mdp.num_states, mdp.num_actions
-    on_support = np.isin(np.arange(S), [int(s) for s in support])
-    if not expert.deterministic_rows()[on_support].all():
-        raise DomainError("best_case_reward requires a deterministic expert on the support")
-    actions = expert.actions()
-    actions[~on_support] = rng.integers(A, size=S - on_support.sum())  # one draw per state, in state order
+    on = support_mask(support, S)
+    actions = check_expert(expert, on, OPT, "best_case_reward's expert on its support")
+    actions[~on] = rng.integers(A, size=S - on.sum())  # one draw per state, in state order
     extension = PolicyTable.from_actions(actions, A)
     v = rng.uniform(-1.0, 1.0, size=S)
     gaps = -rng.uniform(0.0, 0.5, size=(S, A))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .mdp import OccupancyMeasure, PolicyTable
+from .mdp import OccupancyMeasure, PolicyTable, support_mask
 
 CELL = 32
 MARGIN = 2
@@ -58,8 +58,8 @@ def render_grid_svg(
 
     Cells are shaded blue by state occupancy, action glyphs are scaled by
     selection probability, the initial cell is outlined in red, and blocked
-    cells are filled brown.  With a support set, glyphs outside it are
-    omitted (blank cells).  Output bytes depend only on the inputs.
+    cells are filled brown.  With a support set (states in [0, S)), glyphs
+    outside it are omitted (blank cells).  Output bytes depend only on the inputs.
     """
     if occupancy is None and policy is None:
         raise DomainError("render needs an occupancy, a policy, or both")
@@ -70,6 +70,7 @@ def render_grid_svg(
             raise DomainError(
                 f"{what} has shape {table.shape}, not ({S}, {len(MOVES)}) for a {W}x{spec.height} grid"
             )
+    shown = np.ones(S, dtype=bool) if support is None else support_mask(support, S)
     width_px = W * CELL + 2 * MARGIN
     height_px = spec.height * CELL + 2 * MARGIN
     blocked = {spec.state_index(x, y) for (x, y) in spec.blocked_cells}
@@ -99,8 +100,7 @@ def render_grid_svg(
             f'fill="{fill}" stroke="#c8c8c8" stroke-width="1"/>'
         )
     if policy is not None:
-        visible = set(range(S)) if support is None else {int(s) for s in support}
-        visible -= blocked
+        visible = set(np.flatnonzero(shown).tolist()) - blocked
         probs = policy.probs.tolist()
         for s, a in np.argwhere(policy.probs >= GLYPH_MIN_PROB).tolist():
             if s in visible:

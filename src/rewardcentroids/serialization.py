@@ -21,7 +21,7 @@ def _reading(path):
         yield
     except DomainError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, OSError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -63,6 +63,14 @@ def _float(doc: dict, key: str, where: str, default: float | None = None) -> flo
     return float(value)
 
 
+def _table(doc: dict, key: str, where: str) -> np.ndarray:
+    """doc[key] as a float array; a "0.5", true or null entry is an error, not 0.5, 1.0 or nan."""
+    table = np.asarray(_require(doc, key, where), dtype=object)
+    if {str, bool, type(None)} & set(map(type, table.flat)):
+        raise DomainError(f"{where}: {key!r} entries must be JSON numbers")
+    return table.astype(float)
+
+
 def _known_keys(doc, allowed, where: str):
     """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored.
 
@@ -91,7 +99,7 @@ def mdp_from_dict(doc: dict) -> TabularMdp:
         num_states=_int(doc, "num_states", "MDP document"),
         num_actions=_int(doc, "num_actions", "MDP document"),
         initial_state=_int(doc, "initial_state", "MDP document"),
-        transitions=np.asarray(_require(doc, "transitions", "MDP document"), dtype=float),
+        transitions=_table(doc, "transitions", "MDP document"),
         discount=_float(doc, "gamma", "MDP document"),
     )
 
@@ -109,7 +117,7 @@ def reward_to_dict(r: RewardTable) -> dict:
 
 
 def reward_from_dict(doc: dict) -> RewardTable:
-    return RewardTable(np.asarray(_require(doc, "values", "reward document"), dtype=float))
+    return RewardTable(_table(doc, "values", "reward document"))
 
 
 def load_reward(path) -> RewardTable:
@@ -130,7 +138,7 @@ def policy_from_dict(doc: dict) -> PolicyTable:
     Older files may carry a "deterministic" key.  It is ignored, except that a
     truthy one on rows that are not all one-hot is still an error.
     """
-    policy = PolicyTable(np.asarray(_require(doc, "probs", "policy document"), dtype=float))
+    policy = PolicyTable(_table(doc, "probs", "policy document"))
     if doc.get("deterministic") and not policy.deterministic_rows().all():
         raise DomainError("policy marked deterministic has rows that are not one-hot")
     return policy
@@ -150,7 +158,7 @@ def constraint_to_dict(spec: ConstraintSpec) -> dict:
 
 def constraint_from_dict(doc: dict) -> ConstraintSpec:
     return ConstraintSpec(
-        cost=RewardTable(np.asarray(_require(doc, "cost", "constraint document"), dtype=float)),
+        cost=RewardTable(_table(doc, "cost", "constraint document")),
         budget=_float(doc, "budget", "constraint document"),
     )
 
@@ -173,6 +181,10 @@ def save_support(states, path) -> None:
 
 def occupancy_to_dict(occ: OccupancyMeasure) -> dict:
     return {"d": occ.d.tolist()}
+
+
+def load_occupancy(path) -> OccupancyMeasure:
+    return _load_json(path, lambda doc: OccupancyMeasure(_table(doc, "d", "occupancy document")))
 
 
 def save_trajectories(data: TrajectoryDataset, path) -> None:

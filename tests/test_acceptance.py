@@ -129,7 +129,7 @@ def test_criterion_04_centroid_matches_closed_form():
     support = frozenset({0})
     est = mc_centroid_opt(mdp, expert, support, OPT_PARAMS_UNIT, 10_000_000, seed=11)
     closed = centroid(
-        CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt(), num_actions=2)
+        CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt())
     )
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
@@ -200,7 +200,7 @@ def test_criterion_08_exact_recovery_rate():
     reference = centroid(
         CentroidRequest(
             expert=expert, support=frozenset(range(5)),
-            model=BehaviorModel.opt(), num_actions=2,
+            model=BehaviorModel.opt(),
         )
     )
     hits = sum(
@@ -226,10 +226,10 @@ def test_criterion_09_estimator_error_rates():
     support = frozenset(range(S))
     refs = {
         "mce": centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=A)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
         ),
         "birl": centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=A)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
         ),
     }
     estimators = {"mce": estimate_mce, "birl": estimate_birl}
@@ -264,7 +264,7 @@ def test_criterion_10_imitation_consistency():
             r_e = t_operator(mdp, expert, rng.normal(size=4), AdvantageGap(gaps))
             req = CentroidRequest(
                 expert=expert, support=frozenset(range(4)),
-                model=BehaviorModel.opt(), num_actions=3,
+                model=BehaviorModel.opt(),
             )
             closed = centroid(req)
         else:
@@ -275,14 +275,14 @@ def test_criterion_10_imitation_consistency():
                 r_e = u_operator(mdp, eta_mce(expert, 0.9), rng.normal(size=4))
                 req = CentroidRequest(
                     expert=expert, support=frozenset(range(4)),
-                    model=BehaviorModel.mce(0.9), num_actions=3,
+                    model=BehaviorModel.mce(0.9),
                 )
                 closed = centroid(req)
             else:
                 r_e = u_operator(mdp, eta_birl(expert, 1.1), rng.normal(size=4))
                 req = CentroidRequest(
                     expert=expert, support=frozenset(range(4)),
-                    model=BehaviorModel.birl(1.1), num_actions=3,
+                    model=BehaviorModel.birl(1.1),
                 )
                 closed = centroid(req)
         planned = greedy_policy(value_iteration(mdp, closed))

@@ -27,42 +27,40 @@ from rewardcentroids.mdp import (
 from conftest import det_policy
 
 
-def opt_request(expert, support, num_actions):
+def opt_request(expert, support):
     return CentroidRequest(
         expert=expert,
         support=frozenset(support),
         model=BehaviorModel.opt(),
-        num_actions=num_actions,
     )
 
 
 class TestClosedForms:
     def test_opt_partial_support(self):
         expert = det_policy([0, 0], 2)
-        r = centroid(opt_request(expert, {0}, 2))
+        r = centroid(opt_request(expert, {0}))
         assert r.values == pytest.approx(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
     def test_opt_full_support_is_indicator(self):
         expert = det_policy([1, 0, 1], 2)
-        r = centroid(opt_request(expert, {0, 1, 2}, 2))
+        r = centroid(opt_request(expert, {0, 1, 2}))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         assert r.values == pytest.approx(expected)
 
     def test_opt_empty_support_is_flat(self):
         expert = det_policy([0, 1], 3)
-        r = centroid(opt_request(expert, set(), 3))
+        r = centroid(opt_request(expert, set()))
         assert r.values == pytest.approx(np.full((2, 3), 1.0 / 3.0))
 
     def test_opt_rejects_stochastic_expert_on_support(self):
         with pytest.raises(DomainError):
-            opt_request(PolicyTable([[0.5, 0.5]]), {0}, 2)
+            opt_request(PolicyTable([[0.5, 0.5]]), {0})
 
     def test_mce_uniform(self):
         req = CentroidRequest(
             expert=PolicyTable([[0.5, 0.5]]),
             support=frozenset({0}),
             model=BehaviorModel.mce(1.0),
-            num_actions=2,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(0.5)] * 2)
 
@@ -71,7 +69,6 @@ class TestClosedForms:
             expert=PolicyTable([[1 / 3, 2 / 3]]),
             support=frozenset({0}),
             model=BehaviorModel.mce(1.0),
-            num_actions=2,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(1 / 3), np.log(2 / 3)])
 
@@ -80,7 +77,6 @@ class TestClosedForms:
             expert=PolicyTable([[1 - 1e-6, 1e-6]]),
             support=frozenset({0}),
             model=BehaviorModel.mce(1.0),
-            num_actions=2,
         )
         vals = centroid(req).values[0]
         assert vals[0] == pytest.approx(-1e-6, abs=1e-9)
@@ -92,7 +88,6 @@ class TestClosedForms:
                 expert=PolicyTable([[0.5, 0.5], [0.5, 0.5]]),
                 support=frozenset({0}),
                 model=BehaviorModel.mce(1.0),
-                num_actions=2,
             )
 
     def test_birl_uniform_is_zero(self):
@@ -100,7 +95,6 @@ class TestClosedForms:
             expert=PolicyTable([[0.5, 0.5]]),
             support=frozenset({0}),
             model=BehaviorModel.birl(1.0),
-            num_actions=2,
         )
         assert np.all(centroid(req).values == 0.0)
 
@@ -109,7 +103,6 @@ class TestClosedForms:
             expert=PolicyTable([[1 / 3, 2 / 3]]),
             support=frozenset({0}),
             model=BehaviorModel.birl(1.0),
-            num_actions=2,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(0.5), 0.0])
 
@@ -119,8 +112,11 @@ class TestClosedForms:
                 expert=det_policy([0], 2),
                 support=frozenset({0}),
                 model=BehaviorModel.birl(1.0),
-                num_actions=2,
             )
+
+    def test_dimensions_are_read_off_the_expert(self):
+        req = opt_request(det_policy([0, 2], 3), {1})
+        assert (req.num_states, req.num_actions) == (2, 3)
 
     def test_prior_centroid_is_zero(self):
         assert np.all(prior_centroid_opt(4, 3).values == 0.0)
@@ -135,7 +131,6 @@ class TestStructure:
             expert=PolicyTable(probs),
             support=frozenset(range(4)),
             model=BehaviorModel.birl(1.0),
-            num_actions=3,
         )
         vals = centroid(req).values
         assert np.all(vals.max(axis=1) == 0.0)
@@ -147,10 +142,10 @@ class TestStructure:
         expert = PolicyTable(probs)
         support = frozenset(range(5))
         mce = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=3)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
         )
         birl = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=3)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
         )
         diff = mce.values - birl.values
         assert np.ptp(diff, axis=1) == pytest.approx(np.zeros(5), abs=1e-12)
@@ -159,7 +154,7 @@ class TestStructure:
 class TestWeightedCentroid:
     def test_uniform_weights_reduce_to_the_centroid(self):
         expert = det_policy([0, 0, 1], 2)
-        req = opt_request(expert, {0}, 2)
+        req = opt_request(expert, {0})
         _, extensions = enumerate_extensions(req)
         q = np.full(len(extensions), 1.0 / len(extensions))
         assert weighted_centroid_opt(req, q).values == pytest.approx(
@@ -168,7 +163,7 @@ class TestWeightedCentroid:
 
     def test_point_mass_reproduces_extension_indicator(self):
         expert = det_policy([0, 0], 2)
-        req = opt_request(expert, {0}, 2)
+        req = opt_request(expert, {0})
         off, extensions = enumerate_extensions(req)
         assert off == [1]
         for j, ext in enumerate(extensions):
@@ -182,12 +177,12 @@ class TestWeightedCentroid:
 
     def test_two_extensions_half_weights(self):
         expert = det_policy([0, 0], 2)
-        req = opt_request(expert, {0}, 2)
+        req = opt_request(expert, {0})
         vals = weighted_centroid_opt(req, np.array([0.5, 0.5])).values
         assert set(np.round(vals.ravel(), 12)) <= {0.0, 0.5, 1.0}
 
     def test_rejects_bad_weights(self):
-        req = opt_request(det_policy([0, 0], 2), {0}, 2)
+        req = opt_request(det_policy([0, 0], 2), {0})
         with pytest.raises(DomainError):
             weighted_centroid_opt(req, np.zeros(2))
         with pytest.raises(DomainError):
@@ -202,7 +197,7 @@ class TestWeightedCentroid:
         mdp = random_mdp(2, 2, 0.5, rng)
         c1 = c2 = 1.0
         expert = det_policy([0, 0], 2)
-        req = opt_request(expert, {0}, 2)
+        req = opt_request(expert, {0})
         q_by_ext = {(0,): 0.8, (1,): 0.2}
 
         policies = list(itertools.product(range(2), repeat=2))
@@ -306,7 +301,7 @@ class TestImitationConsistency:
             gaps = -rng.uniform(0.05, 1.0, size=(4, 3))
             gaps[np.arange(4), actions] = 0.0
             r_e = t_operator(mdp, expert, rng.normal(size=4), AdvantageGap(gaps))
-            closed = centroid(opt_request(expert, range(4), 3))
+            closed = centroid(opt_request(expert, range(4)))
             planned = greedy_policy(value_iteration(mdp, closed))
             self._assert_optimal(mdp, planned, r_e)
 
@@ -318,7 +313,7 @@ class TestImitationConsistency:
             expert = PolicyTable(probs)
             r_e = u_operator(mdp, eta_mce(expert, 0.7), rng.normal(size=4))
             req = CentroidRequest(
-                expert=expert, support=frozenset(range(4)), model=BehaviorModel.mce(0.7), num_actions=3
+                expert=expert, support=frozenset(range(4)), model=BehaviorModel.mce(0.7)
             )
             closed = centroid(req)
             planned = greedy_policy(value_iteration(mdp, closed))
@@ -332,7 +327,7 @@ class TestImitationConsistency:
             expert = PolicyTable(probs)
             r_e = u_operator(mdp, eta_birl(expert, 1.2), rng.normal(size=4))
             req = CentroidRequest(
-                expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.2), num_actions=3
+                expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.2)
             )
             closed = centroid(req)
             planned = greedy_policy(value_iteration(mdp, closed))
@@ -345,7 +340,7 @@ class TestImitationConsistency:
         probs /= probs.sum(axis=1, keepdims=True)
         expert = PolicyTable(probs)
         req = CentroidRequest(
-            expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.0), num_actions=3
+            expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.0)
         )
         closed = centroid(req)
         assert np.all(closed.values.max(axis=1) == 0.0)

@@ -483,3 +483,75 @@ def test_gridworld_reversed_flag_of_another_type_is_a_domain_error(tmp_path, cap
     assert err.startswith("error:") and "reversed" in err
     assert "Traceback" not in err
     assert not (tmp_path / "mdp.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({**SCENARIO, "planner": "nope"}, "unknown planner 'nope'"),
+        ({k: v for k, v in SCENARIO.items() if k != "model"}, "centroid planning needs a behavior model"),
+        ({**SCENARIO, "gridworld": {k: v for k, v in SCENARIO["gridworld"].items() if k != "expert_policy_file"}},
+         "needs an expert_policy_file"),
+    ],
+)
+def test_scenario_config_errors_name_the_config(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(content))
+    assert main(["gridworld", "run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
+OCCUPANCY_3X3 = [[1 / 45] * 5] * 9
+
+
+@pytest.mark.parametrize(
+    "name, content, command",
+    [
+        ("m.json", {**CHAIN_MDP, "transitions": [[[1.0, 0.0], [0.0, True]], [[0.0, 1.0], [0.0, 1.0]]]}, SIMULATE),
+        ("r.json", {"values": [["0.5", True], [1, 2]]},
+         ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{path}"]),
+        ("p.json", {"probs": [["0.5", "0.5"], [0.5, 0.5]]}, ["centroid", "--model", "mce", "--policy", "{path}"]),
+        ("k.json", {"cost": [[True, False], [False, False]], "budget": 1.0},
+         ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{dir}/r0.json", "--constraint", "{path}"]),
+        ("o.json", {"d": [[str(1 / 45)] + [1 / 45] * 4] + OCCUPANCY_3X3[1:8] + [[1 / 45] * 4 + [None]]},
+         ["render", "--spec", "{dir}/grid3.json", "--occupancy", "{path}", "--out", "{dir}/g.svg"]),
+    ],
+)
+def test_table_entries_must_be_json_numbers(chain_files, capsys, name, content, command):
+    # "0.5", true and null are errors, not read as 0.5, 1.0 and nan
+    (chain_files / "grid3.json").write_text(json.dumps(GRID_3X3))
+    save_reward(RewardTable(np.eye(2)), chain_files / "r0.json")
+    path = chain_files / name
+    path.write_text(json.dumps(content))
+    assert main([arg.format(path=path, dir=chain_files) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "entries must be JSON numbers" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("states", [[250, -3], [9]])
+def test_render_support_state_outside_the_grid_is_a_domain_error(tmp_path, capsys, states):
+    (tmp_path / "grid3.json").write_text(json.dumps(GRID_3X3))
+    save_policy(PolicyTable.from_actions([4] * 9, 5), tmp_path / "pi.json")
+    (tmp_path / "sup.json").write_text(json.dumps({"states": states}))
+    argv = ["render", "--spec", str(tmp_path / "grid3.json"), "--policy", str(tmp_path / "pi.json"),
+            "--support", str(tmp_path / "sup.json"), "--out", str(tmp_path / "g.svg")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "sup.json") in err and "support state out of range" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "g.svg").exists()
+
+
+@pytest.mark.parametrize("name, content, command", [
+    ("r.json", {"values": [[10**400, 0.0], [0.0, 1.0]]}, ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{path}"]),
+    ("m.json", {**CHAIN_MDP, "gamma": 10**400}, SIMULATE),
+])
+def test_integer_too_large_for_a_float_is_a_domain_error(chain_files, capsys, name, content, command):
+    path = chain_files / name
+    path.write_text(json.dumps(content))
+    assert main([arg.format(path=path, dir=chain_files) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: OverflowError") and "Traceback" not in err

@@ -393,7 +393,7 @@ class TestEstimators:
         data = simulate_expert(mdp, expert, n=3, h=4, seed=0)
         est = estimate_opt(data, (4, 2))
         req = CentroidRequest(
-            expert=expert, support=frozenset(range(4)), model=BehaviorModel.opt(), num_actions=2
+            expert=expert, support=frozenset(range(4)), model=BehaviorModel.opt()
         )
         assert np.array_equal(est.values, centroid(req).values)
 
@@ -440,7 +440,7 @@ class TestEstimators:
         reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
-                model=BehaviorModel.opt(), num_actions=2,
+                model=BehaviorModel.opt(),
             )
         )
         assert np.array_equal(est.values, reference.values)
@@ -455,10 +455,10 @@ class TestEstimators:
         birl = estimate_birl(data, dims)
         support = frozenset(range(5))
         mce_ref = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0), num_actions=2)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
         )
         birl_ref = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0), num_actions=2)
+            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
         )
         assert np.abs(mce.values - mce_ref.values).max() <= 0.05
         assert np.abs(birl.values - birl_ref.values).max() <= 0.05
@@ -680,7 +680,7 @@ class TestExactRecoveryGuarantee:
         reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
-                model=BehaviorModel.opt(), num_actions=2,
+                model=BehaviorModel.opt(),
             )
         )
         hits = 0

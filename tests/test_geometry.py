@@ -7,6 +7,7 @@ from rewardcentroids.geometry import (
     BehaviorModel,
     BoundedSetParams,
     bounding_box,
+    check_expert,
     default_bounded_params,
     eta_birl,
     eta_mce,
@@ -188,6 +189,21 @@ class TestEta:
         vals = eta_birl(PolicyTable([[1.0 - 1e-6, 1e-6]]), 1.0).values[0]
         assert vals[1] == pytest.approx(np.log(1e-6), abs=1e-5)
         assert vals[0] == pytest.approx(0.0, abs=1e-5)
+
+
+class TestCheckExpert:
+    def test_opt_reads_only_the_masked_rows(self):
+        expert = PolicyTable([[0.0, 1.0], [0.5, 0.5]])
+        assert check_expert(expert, np.array([True, False]), "opt", "x").tolist() == [1, 0]
+        with pytest.raises(DomainError, match="x must be deterministic"):
+            check_expert(expert, slice(None), "opt", "x")
+
+    @pytest.mark.parametrize("kind", ["mce", "birl"])
+    def test_mce_and_birl_need_strictly_positive_rows(self, kind):
+        expert = PolicyTable([[0.5, 0.5], [1.0, 0.0]])
+        assert check_expert(expert, np.array([True, False]), kind, "x").tolist() == [0, 0]
+        with pytest.raises(DomainError, match="x must be strictly positive"):
+            check_expert(expert, slice(None), kind, "x")
 
 
 class TestFeasibility:

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rewardcentroids import mdp as mdp_module
+from rewardcentroids.centroids import CentroidRequest
 from rewardcentroids.errors import DomainError, SolverError
+from rewardcentroids.estimators import exact_estimate
+from rewardcentroids.geometry import BehaviorModel, is_feasible
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
     OccupancyMeasure,
@@ -20,10 +23,11 @@ from rewardcentroids.mdp import (
     random_policy,
     reachable_support,
     soft_value_iteration,
+    support_mask,
     value_iteration,
     w_matrix,
 )
-from rewardcentroids.planning import plan_unconstrained
+from rewardcentroids.planning import bc_policy, best_case_reward, plan_unconstrained
 
 from conftest import det_policy, enumerate_optimal_values, one_state_mdp, soft_values_by_sweeps
 
@@ -364,3 +368,38 @@ class TestPolicies:
             set(np.flatnonzero(row >= row.max() - 1e-8 * alpha)) for row in scaled.q
         ]
         assert base_sets == scaled_sets
+
+
+# Every reader of a support set, called on a 3-state, 2-action instance.
+SUPPORT_READERS = {
+    "CentroidRequest": lambda mdp, expert, support: CentroidRequest(expert, support, BehaviorModel.opt()),
+    "is_feasible": lambda mdp, expert, support: is_feasible(
+        mdp, expert, support, RewardTable(np.zeros((3, 2))), BehaviorModel.opt()
+    ),
+    "bc_policy": lambda mdp, expert, support: bc_policy(expert, support),
+    "best_case_reward": lambda mdp, expert, support: best_case_reward(mdp, expert, support, 0),
+    **{
+        f"exact_estimate_{kind}": lambda mdp, expert, support, kind=kind: exact_estimate(expert, support, kind)
+        for kind in ("opt", "mce", "birl")
+    },
+}
+
+
+class TestSupportMask:
+    def test_marks_the_given_states(self):
+        assert support_mask({2, 0}, 3).tolist() == [True, False, True]
+        assert support_mask(np.array([1]), 2).tolist() == [False, True]
+        assert not support_mask(frozenset(), 2).any()
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_state_outside_the_table_is_a_domain_error(self, state):
+        with pytest.raises(DomainError, match="support state out of range"):
+            support_mask({0, state}, 3)
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    @pytest.mark.parametrize("reader", sorted(SUPPORT_READERS))
+    def test_every_support_reader_rejects_a_state_outside_the_table(self, rng, reader, state):
+        # -1 would index the last state and 3 would raise an IndexError
+        mdp = random_mdp(3, 2, 0.5, rng)
+        with pytest.raises(DomainError, match="support state out of range"):
+            SUPPORT_READERS[reader](mdp, det_policy([0, 1, 0], 2), {0, state})

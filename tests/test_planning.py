@@ -94,7 +94,7 @@ class TestUnconstrained:
         expert = det_policy(rng.integers(3, size=4), 3)
         req = CentroidRequest(
             expert=expert, support=frozenset(range(4)),
-            model=BehaviorModel.opt(), num_actions=3,
+            model=BehaviorModel.opt(),
         )
         planned = plan_unconstrained(mdp, centroid(req))
         assert np.array_equal(planned.actions(), expert.actions())
@@ -278,7 +278,7 @@ class TestMimic:
             expert = random_policy(4, 2, rng)
             d_e = occupancy_measure(src, expert).d
             result = mimic_policy(src, expert, dst)
-            bc = bc_policy(expert, frozenset(range(4)), 2)
+            bc = bc_policy(expert, frozenset(range(4)))
             bc_distance = float(np.abs(occupancy_measure(dst, bc).d - d_e).sum())
             assert result.l1_distance <= bc_distance + 1e-7
 
@@ -344,16 +344,16 @@ class TestBaselines:
     def test_bc_full_support_is_expert(self, rng):
         expert = random_policy(3, 2, rng)
         assert np.array_equal(
-            bc_policy(expert, frozenset(range(3)), 2).probs, expert.probs
+            bc_policy(expert, frozenset(range(3))).probs, expert.probs
         )
 
     def test_bc_empty_support_is_uniform(self, rng):
         expert = random_policy(3, 2, rng)
-        assert np.all(bc_policy(expert, frozenset(), 2).probs == 0.5)
+        assert np.all(bc_policy(expert, frozenset()).probs == 0.5)
 
     def test_bc_partial_support(self, rng):
         expert = random_policy(3, 2, rng)
-        mixed = bc_policy(expert, frozenset({1}), 2)
+        mixed = bc_policy(expert, frozenset({1}))
         assert mixed.probs[1] == pytest.approx(expert.probs[1])
         assert mixed.probs[0] == pytest.approx([0.5, 0.5])
 
