@@ -9,15 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import mclab
 from .centroids import CentroidRequest, affine_fit, centroid, constant_fit
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, simulate_expert
-from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
+from .geometry import BIRL, COEFFICIENT_KEYS, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import PolicyTable, RewardTable, TabularMdp, philox, random_mdp
 from .planning import mimic_policy, plan
@@ -26,11 +27,21 @@ from . import serialization as ser
 
 
 def _model_from_args(args) -> BehaviorModel:
-    if args.model == OPT:
-        return BehaviorModel.opt()
-    if args.model == MCE:
-        return BehaviorModel.mce(args.lam)
-    return BehaviorModel.birl(args.beta)
+    key = COEFFICIENT_KEYS.get(args.model)
+    return BehaviorModel(args.model, None if key is None else vars(args)[key])
+
+
+@contextmanager
+def _about(*paths):
+    """A DomainError raised inside, other than a SolverError, prefixed with
+    the input files it is about; the error keeps its type."""
+    try:
+        yield
+    except SolverError:
+        raise
+    except DomainError as exc:
+        files = ", ".join(str(p) for p in paths if p)
+        raise type(exc)(f"{files}: {exc}") from exc
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -51,14 +62,16 @@ def _cmd_centroid(args) -> int:
         support = ser.load_support(args.support)
     else:
         support = frozenset(range(policy.probs.shape[0]))
-    req = CentroidRequest(expert=policy, support=support, model=model)
-    _emit(ser.reward_to_dict(centroid(req)), args.out)
+    with _about(args.policy, args.support):
+        reward = centroid(CentroidRequest(expert=policy, support=support, model=model))
+    _emit(ser.reward_to_dict(reward), args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     data = ser.load_trajectories(args.data)
-    table = estimate(data, (args.num_states, args.num_actions), args.model, args.pi_min_prime)
+    with _about(args.data):
+        table = estimate(data, (args.num_states, args.num_actions), args.model, args.pi_min_prime)
     _emit(ser.reward_to_dict(table), args.out)
     return 0
 
@@ -66,7 +79,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     mdp = ser.load_mdp(args.mdp)
     policy = ser.load_policy(args.policy)
-    data = simulate_expert(mdp, policy, args.n, args.h, args.seed)
+    with _about(args.mdp, args.policy):
+        data = simulate_expert(mdp, policy, args.n, args.h, args.seed)
     ser.save_trajectories(data, args.out)
     return 0
 
@@ -75,7 +89,8 @@ def _cmd_plan(args) -> int:
     mdp = ser.load_mdp(args.mdp)
     reward = ser.load_reward(args.reward)
     constraint = ser.load_constraint(args.constraint) if args.constraint else None
-    result = plan(mdp, reward, constraint)
+    with _about(args.mdp, args.reward, args.constraint):
+        result = plan(mdp, reward, constraint)
     _emit(
         {
             "policy": ser.policy_to_dict(result.policy),
@@ -92,7 +107,8 @@ def _cmd_mimic(args) -> int:
     target = ser.load_mdp(args.target_mdp)
     policy = ser.load_policy(args.policy)
     constraint = ser.load_constraint(args.constraint) if args.constraint else None
-    result = mimic_policy(source, policy, target, constraint)
+    with _about(args.source_mdp, args.policy, args.target_mdp, args.constraint):
+        result = mimic_policy(source, policy, target, constraint)
     _emit(
         {
             "policy": ser.policy_to_dict(result.policy),
@@ -306,11 +322,8 @@ def _cmd_render(args) -> int:
     occupancy = ser.load_occupancy(args.occupancy) if args.occupancy else None
     policy = ser.load_policy(args.policy) if args.policy else None
     support = ser.load_support(args.support) if args.support else None
-    try:
+    with _about(args.spec, args.occupancy, args.policy, args.support):
         render_grid_svg(occupancy, policy, spec, args.out, support=support)
-    except DomainError as exc:
-        files = ", ".join(f for f in (args.spec, args.occupancy, args.policy, args.support) if f)
-        raise DomainError(f"cannot render {files}: {exc}") from exc
     return 0
 
 
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p):
         p.add_argument("--model", choices=[OPT, MCE, BIRL], required=True)
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        p.add_argument("--lambda", type=float, default=1.0)
         p.add_argument("--beta", type=float, default=1.0)
 
     p = sub.add_parser("centroid", help="closed-form centroid of an expert policy")

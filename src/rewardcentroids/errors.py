@@ -10,6 +10,7 @@ class InfeasibleConstraintError(DomainError):
 
 
 class SolverError(DomainError):
-    """A solver stopped abnormally: an LP iteration limit or unexpected status,
-    or the step cap (MAX_POLICY_ITERATIONS) of hard or soft policy iteration.
+    """A solver stopped abnormally: an unbounded LP, an LP iteration limit or
+    singular final basis, or the step cap (MAX_POLICY_ITERATIONS) of hard or
+    soft policy iteration.
     """

@@ -73,24 +73,6 @@ class TrajectoryDataset:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
-class VisitCounts:
-    """nsa(s, a) trajectories whose first visit to s played a; ns = row sums."""
-
-    nsa: np.ndarray
-    ns: np.ndarray
-
-    def __post_init__(self):
-        nsa = np.asarray(self.nsa, dtype=np.int64)
-        ns = np.asarray(self.ns, dtype=np.int64)
-        if nsa.ndim != 2 or ns.shape != (nsa.shape[0],):
-            raise DomainError("inconsistent count shapes")
-        if np.any(nsa < 0) or np.any(nsa.sum(axis=1) != ns):
-            raise DomainError("counts must be nonnegative with ns = sum_a nsa")
-        object.__setattr__(self, "nsa", nsa)
-        object.__setattr__(self, "ns", ns)
-
-
 def _check_dims(data: TrajectoryDataset, dims: tuple[int, int]) -> tuple[int, int]:
     S, A = dims
     if S < 1 or A < 1:
@@ -173,8 +155,8 @@ def simulate_expert(
     return TrajectoryDataset(states=states.T, actions=actions.T)
 
 
-def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitCounts:
-    """Action counts at the first visit of each state per trajectory.
+def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> np.ndarray:
+    """The (S, A) int64 table of trajectories whose first visit to s played a.
 
     Later visits within a trajectory are not counted: the estimators'
     analysis holds for first visits only.
@@ -188,8 +170,8 @@ def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> VisitC
         key = row_start + s_t
         first[t] = ~visited.take(key)
         visited[key] = True
-    nsa = np.bincount(_pairs(states[first], actions[first], A), minlength=S * A).reshape(S, A)
-    return VisitCounts(nsa=nsa, ns=nsa.sum(axis=1))
+    nsa = np.bincount(_pairs(states[first], actions[first], A), minlength=S * A)
+    return nsa.astype(np.int64, copy=False).reshape(S, A)
 
 
 def estimate_opt(data: TrajectoryDataset, dims: tuple[int, int]) -> RewardTable:
@@ -220,15 +202,16 @@ def _estimate_log(
     data: TrajectoryDataset, dims: tuple[int, int], pi_min_prime: float, kind: str
 ) -> RewardTable:
     _check_pi_min_prime(pi_min_prime)
-    counts = first_visit_counts(data, dims)
-    freq = counts.nsa / np.maximum(1, counts.ns)[:, None]
-    if np.any((counts.nsa > 0) & (freq < pi_min_prime)):
+    nsa = first_visit_counts(data, dims)
+    ns = nsa.sum(axis=1)
+    freq = nsa / np.maximum(1, ns)[:, None]
+    if np.any((nsa > 0) & (freq < pi_min_prime)):
         warnings.warn(
             "observed action frequencies below pi_min_prime; the estimation "
             "guarantee assumes the true policy stays above the floor",
             stacklevel=3,
         )
-    return _clipped_log(freq, counts.ns > 0, pi_min_prime, kind)
+    return _clipped_log(freq, ns > 0, pi_min_prime, kind)
 
 
 def estimate_mce(

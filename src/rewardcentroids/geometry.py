@@ -34,6 +34,8 @@ from .mdp import (
 OPT = "opt"
 MCE = "mce"
 BIRL = "birl"
+# The name of each model's coefficient in configs and on the command line.
+COEFFICIENT_KEYS = {MCE: "lambda", BIRL: "beta"}
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,7 @@ def is_feasible(
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
+    check_table(mdp, expert.probs, "expert")
     on = support_mask(support, mdp.num_states)
     if not on.any():
         return True

@@ -16,14 +16,14 @@ are byte-deterministic given the config and seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, exact_estimate, simulate_expert
-from .geometry import BIRL, MCE, OPT, BehaviorModel
+from .geometry import COEFFICIENT_KEYS, BehaviorModel
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -130,7 +130,6 @@ class ScenarioReport:
     policy: PolicyTable
     occupancy: OccupancyMeasure
     value: float | None
-    svg_paths: list[str] = field(default_factory=list)
 
 
 def _model_from_config(doc) -> BehaviorModel | None:
@@ -139,16 +138,9 @@ def _model_from_config(doc) -> BehaviorModel | None:
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = doc["kind"]
-    if kind == OPT:
-        _known_keys(doc, ("kind",), "model")
-        return BehaviorModel.opt()
-    if kind == MCE:
-        _known_keys(doc, ("kind", "lambda"), "model")
-        return BehaviorModel.mce(_float(doc, "lambda", "model", default=1.0))
-    if kind == BIRL:
-        _known_keys(doc, ("kind", "beta"), "model")
-        return BehaviorModel.birl(_float(doc, "beta", "model", default=1.0))
-    raise DomainError(f"unknown behavior model {kind!r}")
+    key = COEFFICIENT_KEYS.get(kind)
+    _known_keys(doc, ("kind",) if key is None else ("kind", key), "model")
+    return BehaviorModel(kind, None if key is None else _float(doc, key, "model", default=1.0))
 
 
 @dataclass(frozen=True)
@@ -161,13 +153,11 @@ class _Scenario:
     model: BehaviorModel | None
     estimator: tuple[int, int, float] | None  # (n, h, pi_min_prime); None is the exact limit
     seeds: dict[str, int]
-    outputs: list[str]
 
 
-SCENARIO_KEYS = ("gridworld", "target", "planner", "model", "estimator", "seeds", "outputs")
+SCENARIO_KEYS = ("gridworld", "target", "planner", "model", "estimator", "seeds")
 PLANNERS = ("centroid", "best_case", "mimic", "bc", "expert")
 SEED_KEYS = ("simulate", "best_case")
-OUTPUTS = ("policy_svg", "occupancy_svg", "report_json")
 
 
 def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
@@ -194,7 +184,6 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
         model=model,
         estimator=estimator,
         seeds={key: _int(seeds, key, "seeds") for key in seeds},
-        outputs=_known_keys(doc.get("outputs", ["policy_svg", "report_json"]), OUTPUTS, "outputs"),
     )
 
 
@@ -217,9 +206,9 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
 
     Pipeline: build the source and target grids, load the expert fixture,
     produce the planning reward (exact centroid or offline estimate), plan
-    with the requested planner, then render the requested outputs under
-    out_dir with the scenario name as prefix.  A config that cannot be
-    converted is a DomainError naming the file.
+    with the requested planner, then write {name}_policy.svg,
+    {name}_occupancy.svg and {name}_report.json under out_dir.  A config
+    that cannot be converted is a DomainError naming the file.
     """
     config_path = Path(config_path)
     out_dir = Path(out_dir)
@@ -259,31 +248,17 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
         result = plan(target, reward, constraint)
         policy, occupancy, value = result.policy, result.occupancy, result.value
 
-    svg_paths: list[str] = []
-    outputs = scenario.outputs
-    if "policy_svg" in outputs:
-        path = render_grid_svg(
-            occupancy, policy, run_spec, out_dir / f"{name}_policy.svg", support=run_support
-        )
-        svg_paths.append(str(path))
-    if "occupancy_svg" in outputs:
-        path = render_grid_svg(occupancy, None, run_spec, out_dir / f"{name}_occupancy.svg")
-        svg_paths.append(str(path))
-    if "report_json" in outputs:
-        report = {
-            "name": name,
-            "planner": planner,
-            "model": None if model is None else model.kind,
-            "value": value,
-            "support_size": len(support),
-            "support_mass": float(
-                occupancy.state_marginal()[sorted(support)].sum()
-            ),
-            "svg_paths": [Path(p).name for p in svg_paths],
-        }
-        write_report(report, out_dir / f"{name}_report.json")
-
-    for path in svg_paths:
-        if not Path(path).exists():
-            raise DomainError(f"expected output {path} missing")
-    return ScenarioReport(policy=policy, occupancy=occupancy, value=value, svg_paths=svg_paths)
+    policy_svg, occupancy_svg = f"{name}_policy.svg", f"{name}_occupancy.svg"
+    render_grid_svg(occupancy, policy, run_spec, out_dir / policy_svg, support=run_support)
+    render_grid_svg(occupancy, None, run_spec, out_dir / occupancy_svg)
+    report = {
+        "name": name,
+        "planner": planner,
+        "model": None if model is None else model.kind,
+        "value": value,
+        "support_size": len(support),
+        "support_mass": float(occupancy.state_marginal()[sorted(support)].sum()),
+        "svg_paths": [policy_svg, occupancy_svg],
+    }
+    write_report(report, out_dir / f"{name}_report.json")
+    return ScenarioReport(policy=policy, occupancy=occupancy, value=value)

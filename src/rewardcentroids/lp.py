@@ -34,9 +34,6 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
 PIVOT_TOL = 1e-9
 MAX_ITERS = 500_000
 TIE_KEY = 0
@@ -76,11 +73,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str
-    x: np.ndarray | None
+    x: np.ndarray
     objective_value: float
-    dual: np.ndarray | None = None  # one multiplier per row, eq rows first
-    pivots: tuple[int, int] = (0, 0)  # phase 2, tie stage
+    dual: np.ndarray  # one multiplier per row, eq rows first
+    pivots: tuple[int, int]  # phase 2, tie stage
 
 
 def tie_objective(num_vars: int) -> np.ndarray:
@@ -114,18 +110,18 @@ def _pivot(tab, cost, basis, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tab, cost, basis, entering_limit: int) -> tuple[str, int]:
-    """Pivot to optimality; returns the status and the number of pivots taken."""
+def _run_simplex(tab, cost, basis, entering_limit: int) -> int:
+    """Pivot to optimality; returns the number of pivots taken."""
     stalled = 0  # consecutive degenerate pivots
     for pivots in range(MAX_ITERS):
         col = int(np.argmin(cost[:entering_limit]))
         if cost[col] >= -PIVOT_TOL:
-            return OPTIMAL, pivots
+            return pivots
         if stalled >= entering_limit:
             col = _bland_entering(cost, entering_limit)
         row = _ratio_leaving(tab, basis, col)
         if row is None:
-            return UNBOUNDED, pivots
+            raise SolverError("the program is unbounded")
         stalled = stalled + 1 if tab[row, -1] <= PIVOT_TOL else 0
         _pivot(tab, cost, basis, row, col)
     raise SolverError("simplex iteration limit exceeded")
@@ -158,8 +154,8 @@ def _basis_tableau(ab: np.ndarray, basis, feas_tol: float):
 
 
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
-    """Solve the program from a starting basis; returns a certified status
-    and, when optimal, the tie objective's optimum over the optimal face.
+    """Solve the program from a starting basis; returns the tie objective's
+    optimum over the optimal face, or raises SolverError.
 
     `basis` lists one standard-form column per row (structural columns
     0..n-1, then the slack of `<=` row j at n + j) that is invertible and
@@ -186,17 +182,12 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     tab, basis = _basis_tableau(ab, basis, feas_tol)
 
     cost = _priced(lp.objective, tab, basis)
-    status, phase2 = _run_simplex(tab, cost, basis, n_struct)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, x=None, objective_value=float("-inf"),
-                          pivots=(phase2, 0))
+    phase2 = _run_simplex(tab, cost, basis, n_struct)
 
     # Tie stage: the tie objective over the optimal face only.
     tie = _priced(tie_objective(n), tab, basis)
     tie[:n_struct][cost[:n_struct] > PIVOT_TOL] = np.inf
-    status, ties = _run_simplex(tab, tie, basis, n_struct)
-    if status != OPTIMAL:  # bounded below by 0
-        raise SolverError("tie stage terminated abnormally")
+    ties = _run_simplex(tab, tie, basis, n_struct)
 
     x_full = np.zeros(n_struct)
     x_full[basis] = np.maximum(tab[:, -1], 0.0)
@@ -208,6 +199,5 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     try:
         y = np.linalg.solve(ab[:, basis].T, c_basis)
     except np.linalg.LinAlgError:
-        y = np.full(m, np.nan)
-    return LpSolution(status=OPTIMAL, x=x, objective_value=obj, dual=y,
-                      pivots=(phase2, ties))
+        raise SolverError("the final basis is singular") from None
+    return LpSolution(x=x, objective_value=obj, dual=y, pivots=(phase2, ties))

@@ -50,6 +50,8 @@ class McEstimate:
 
 def _draws(draw, n: int, seed: int):
     """draw(rng, size) on blocks of at most BLOCK samples; chunk i of CHUNK uses substream i of the seed."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
     stream = philox(seed)
     for i, start in enumerate(range(0, n, CHUNK)):
         rng = np.random.Generator(stream.jumped(i))
@@ -190,8 +192,6 @@ def mc_volume_fraction(
     """
     if model.kind != OPT:
         raise DomainError("volume fractions are defined for the OPT model only")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     lo, hi = box
     if not lo < hi:
         raise DomainError("box must be a nonempty interval")
@@ -224,6 +224,7 @@ def segment_volume_1d(
         raise DomainError("segment volume applies to MCE/BIRL only")
     if box_halfwidth <= 0:
         raise DomainError("box_halfwidth must be positive")
+    check_table(mdp, policy.probs, "policy")
     check_expert(policy, slice(None), model.kind, "a segment volume's policy")
     p = policy.probs[0]
     shift = model.coefficient * float(np.log(p[0]) - np.log(p[1]))
@@ -246,8 +247,6 @@ def mc_centroid_opt(
     lies in the bounded set and some deterministic completion of the expert
     is optimal everywhere.  Zero acceptance is reported, not raised.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     check_table(mdp, expert.probs, "expert")
     on = support_mask(support, mdp.num_states)
     actions = check_expert(expert, on, OPT, "mc_centroid_opt's expert on its support")
@@ -262,8 +261,6 @@ def mc_centroid_prior(
     mdp: TabularMdp, params: BoundedSetParams, n: int, seed: int
 ) -> McEstimate:
     """Mean of the bounded OPT set alone (no feasibility predicate)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
     box = bounding_box(params, mdp.discount)
     accept = partial(_bounded_opt_mask, _all_policies(mdp)[1], c1=params.c1, c2=params.c2)
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
@@ -280,8 +277,6 @@ def mc_centroid_manifold(
     """
     if c1 <= 0:
         raise DomainError("c1 must be positive")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     check_table(mdp, eta.values, "eta")
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -332,8 +327,6 @@ def new_env_bias_ratio(c2: float, n: int, seed: int) -> McEstimate:
     """
     if c2 <= 0:
         raise DomainError("c2 must be positive")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     src, dst = _bias_ratio_instances(BIAS_RATIO_GAMMA)
     sample_policy = PolicyTable.from_actions([1, 0], 2)  # jump-flavored action in s0, loop in s1
     target = _PolicyEvaluator(dst, np.array([0, 0]))

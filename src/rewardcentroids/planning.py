@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import OPT, AdvantageGap, check_expert, shaping_matrix, t_operator
-from .lp import OPTIMAL, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -151,8 +151,6 @@ def _solve_occupancy(
     """Solve an occupancy LP from `basis` and certify the solution; the policy
     of its optimum and that policy's exact occupancy."""
     sol = solve(lp, basis)
-    if sol.status != OPTIMAL:
-        raise SolverError(f"unexpected LP status {sol.status}")
     residual = max(
         np.abs(lp.eq_lhs @ sol.x - lp.eq_rhs).max(),
         (lp.ub_lhs @ sol.x - lp.ub_rhs).max(initial=0.0),
@@ -258,6 +256,7 @@ def best_case_reward(
     0.5) subtracted off the non-prescribed actions, then applies the shaping
     operator.  The result always makes the extension optimal.
     """
+    check_table(mdp, expert.probs, "expert")
     rng = np.random.Generator(philox(seed))
     S, A = mdp.num_states, mdp.num_actions
     on = support_mask(support, S)

@@ -72,15 +72,15 @@ def _table(doc: dict, key: str, where: str) -> np.ndarray:
 
 
 def _known_keys(doc, allowed, where: str):
-    """doc itself; a key (or listed name) outside allowed is a ValueError, so no typo is ignored.
+    """doc itself; a key outside allowed is a DomainError, so no typo is ignored.
 
-    doc must be a JSON object or list: a string would be read letter by letter.
+    doc must be a JSON object: a string would be read letter by letter.
     """
-    if not isinstance(doc, (dict, list)):
-        raise ValueError(f"{where} must be a JSON object or list, not {doc!r}; accepted: {list(allowed)}")
+    if not isinstance(doc, dict):
+        raise DomainError(f"{where} must be a JSON object, not {doc!r}; accepted: {list(allowed)}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
+        raise DomainError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
     return doc
 
 

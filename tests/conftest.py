@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rewardcentroids import lp as lp_module
-from rewardcentroids.lp import OPTIMAL, LinearProgram, solve
+from rewardcentroids.lp import LinearProgram, solve
 from rewardcentroids.mdp import PolicyTable, TabularMdp
 
 
@@ -69,7 +69,6 @@ def solve_permuted(program: LinearProgram, perm: np.ndarray, basis=None) -> np.n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_module, "tie_objective", lambda size: weights[perm])
         sol = solve(permuted, basis)
-    assert sol.status == OPTIMAL
     x = np.empty(n)
     x[perm] = sol.x
     return x

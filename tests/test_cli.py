@@ -453,15 +453,25 @@ def test_legacy_deterministic_key_on_stochastic_rows_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("section, value", [("estimator", "exakt"), ("outputs", "report_json")])
+@pytest.mark.parametrize("section, value", [("estimator", "exakt"), ("target", "gamma")])
 def test_scenario_section_of_the_wrong_json_type_is_named(tmp_path, capsys, section, value):
     # a string is not read letter by letter as a list of keys
     path = tmp_path / "c.json"
     path.write_text(json.dumps({**SCENARIO, section: value}))
     assert main(["gridworld", "run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{section} must be a JSON object or list" in err
+    assert err.startswith("error:") and f"{section} must be a JSON object" in err
     assert "['a'," not in err and "Traceback" not in err
+
+
+def test_scenario_outputs_key_is_unknown(tmp_path, capsys):
+    # every scenario writes its two SVGs and its report; no key selects them
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**SCENARIO, "outputs": ["policy_svg", "occupancy_svg", "report_json"]}))
+    assert main(["gridworld", "run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "unknown scenario key(s) ['outputs']" in err
+    assert "Traceback" not in err and not list(tmp_path.glob("*.svg"))
 
 
 @pytest.mark.parametrize("flag, right_from_0", [(False, 1), (True, 0)])
@@ -555,3 +565,31 @@ def test_integer_too_large_for_a_float_is_a_domain_error(chain_files, capsys, na
     assert main([arg.format(path=path, dir=chain_files) for arg in command]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: OverflowError") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("inputs, command, message", [
+    (["expert.json", "bad_support.json"], ["centroid", "--model", "opt", "--policy", "{dir}/expert.json",
+                                           "--support", "{dir}/bad_support.json"], "support state out of range"),
+    (["mdp.json", "r3.json"], ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{dir}/r3.json"],
+     "reward has shape (3, 2), expected (2, 2)"),
+    (["mdp.json", "expert.json", "mdp3.json"], ["mimic", "--source-mdp", "{dir}/mdp.json", "--policy",
+                                                "{dir}/expert.json", "--target-mdp", "{dir}/mdp3.json"],
+     "source and target MDPs must share state/action spaces"),
+    (["mdp3.json", "expert.json"], ["simulate", "--mdp", "{dir}/mdp3.json", "--policy", "{dir}/expert.json",
+                                    "--n", "2", "--h", "2", "--out", "{dir}/t.jsonl"],
+     "expert has shape (2, 2), expected (3, 2)"),
+    (["t3.jsonl"], ["estimate", "--model", "opt", "--data", "{dir}/t3.jsonl", "--num-states", "2",
+                    "--num-actions", "2"], "trajectory index out of range for the given dims"),
+])
+def test_mismatched_inputs_name_their_files(chain_files, capsys, inputs, command, message):
+    p = np.zeros((3, 2, 3))
+    p[:, :, 0] = 1.0
+    save_mdp(TabularMdp(3, 2, 0, p, 0.5), chain_files / "mdp3.json")
+    save_reward(RewardTable(np.zeros((3, 2))), chain_files / "r3.json")
+    (chain_files / "bad_support.json").write_text(json.dumps({"states": [0, 5]}))
+    (chain_files / "t3.jsonl").write_text('{"states": [0, 2], "actions": [0, 0]}\n')
+    assert main([arg.format(dir=chain_files) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    for name in inputs:
+        assert str(chain_files / name) in err

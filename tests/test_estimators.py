@@ -15,7 +15,6 @@ from rewardcentroids import estimators
 from rewardcentroids.estimators import (
     DEFAULT_PI_MIN_PRIME,
     TrajectoryDataset,
-    VisitCounts,
     _candidates,
     _draw,
     estimate,
@@ -136,13 +135,9 @@ class TestDatasets:
     def test_uint64_indices_are_read_as_intp(self):
         data = TrajectoryDataset(states=np.array([[0, 1, 1]], np.uint64), actions=np.array([[1, 0, 1]], np.uint64))
         assert data.states.dtype == data.actions.dtype == np.intp
-        assert first_visit_counts(data, (2, 2)).nsa.tolist() == [[0, 1], [1, 0]]
+        assert first_visit_counts(data, (2, 2)).tolist() == [[0, 1], [1, 0]]
         with pytest.raises(DomainError, match="nonnegative"):
             TrajectoryDataset(states=np.array([[2**63]], np.uint64), actions=np.zeros((1, 1), np.uint64))
-
-    def test_counts_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            VisitCounts(nsa=np.ones((2, 2), int), ns=np.array([1, 1]))
 
 
 class TestSimulate:
@@ -261,7 +256,7 @@ class TestCompactDataset:
         wide = widened(data)
         assert wide.states.dtype == np.int64
         compact_counts, wide_counts = first_visit_counts(data, dims), first_visit_counts(wide, dims)
-        assert np.array_equal(compact_counts.nsa, wide_counts.nsa)
+        assert np.array_equal(compact_counts, wide_counts)
         for kind in ("opt", "mce", "birl"):
             assert np.array_equal(estimate(data, dims, kind).values, estimate(wide, dims, kind).values), kind
 
@@ -274,8 +269,8 @@ class TestCompactDataset:
         compact = TrajectoryDataset(states=states, actions=actions)
         wide = TrajectoryDataset(states=states.astype(np.int64), actions=actions.astype(np.int64))
         counts = first_visit_counts(compact, (S, A))
-        assert counts.nsa[S // 2 :].sum() > 0
-        assert np.array_equal(counts.nsa, first_visit_counts(wide, (S, A)).nsa)
+        assert counts[S // 2 :].sum() > 0
+        assert np.array_equal(counts, first_visit_counts(wide, (S, A)))
         assert np.array_equal(estimate_opt(compact, (S, A)).values, estimate_opt(wide, (S, A)).values)
 
     def test_saved_file_matches_the_int64_copy(self, grid_data, tmp_path):
@@ -328,18 +323,23 @@ class TestFirstVisitCounts:
     def test_first_visit_rule(self):
         data = TrajectoryDataset(states=[[0, 0]], actions=[[0, 1]])
         counts = first_visit_counts(data, (1, 2))
-        assert counts.nsa.tolist() == [[1, 0]]
+        assert counts.tolist() == [[1, 0]]
 
     def test_two_trajectories_disagree(self):
         data = TrajectoryDataset(states=[[0], [0]], actions=[[0], [1]])
         counts = first_visit_counts(data, (1, 2))
-        assert counts.nsa.tolist() == [[1, 1]]
+        assert counts.tolist() == [[1, 1]]
+
+    def test_counts_are_an_int64_table(self):
+        counts = first_visit_counts(TrajectoryDataset(states=[[0, 2]], actions=[[1, 0]]), (3, 2))
+        assert counts.dtype == np.int64
+        assert counts.shape == (3, 2)
 
     def test_unvisited_state_has_zero_row(self):
         data = TrajectoryDataset(states=[[0, 0]], actions=[[1, 1]])
         counts = first_visit_counts(data, (3, 2))
-        assert counts.nsa[1].tolist() == [0, 0]
-        assert counts.nsa[2].tolist() == [0, 0]
+        assert counts[1].tolist() == [0, 0]
+        assert counts[2].tolist() == [0, 0]
 
     def test_out_of_range_rejected(self):
         data = TrajectoryDataset(states=[[5]], actions=[[0]])
@@ -354,10 +354,10 @@ class TestFirstVisitCounts:
         data = simulate_expert(mdp, expert, n=n, h=6, seed=3)
         counts = first_visit_counts(data, (2, 2))
         for s in range(2):
-            ns = counts.ns[s]
+            ns = counts[s].sum()
             p = expert.probs[s, 0]
             sigma = np.sqrt(ns * p * (1 - p))
-            assert abs(counts.nsa[s, 0] - ns * p) <= 3 * sigma
+            assert abs(counts[s, 0] - ns * p) <= 3 * sigma
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -377,8 +377,7 @@ class TestFirstVisitCounts:
         expected = np.zeros((S, A), dtype=np.int64)
         np.add.at(expected, (states.ravel()[first], actions.ravel()[first]), 1)
         counts = first_visit_counts(TrajectoryDataset(states=states, actions=actions), (S, A))
-        assert np.array_equal(counts.nsa, expected)
-        assert np.array_equal(counts.ns, expected.sum(axis=1))
+        assert np.array_equal(counts, expected)
 
 
 class TestEstimators:

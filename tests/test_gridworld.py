@@ -190,7 +190,6 @@ class TestScenario:
             "target": {"reversed": True},
             "model": "opt",
             "planner": "centroid",
-            "outputs": ["policy_svg", "occupancy_svg", "report_json"],
         }
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(config))
@@ -199,9 +198,8 @@ class TestScenario:
     def test_pipeline_produces_outputs(self, tmp_path):
         config = self.make_config(tmp_path)
         report = run_scenario("tiny", config, tmp_path / "out")
-        for path in report.svg_paths:
-            assert Path(path).exists()
-        assert (tmp_path / "out" / "tiny_report.json").exists()
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["tiny_occupancy.svg", "tiny_policy.svg", "tiny_report.json"]
         assert report.value is not None
 
     def test_pipeline_is_deterministic(self, tmp_path):

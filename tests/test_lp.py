@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from rewardcentroids import lp as lp_module
 from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.lp import (
-    OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     LpSolution,
     solve,
@@ -52,21 +50,28 @@ def brute_force_min(c, A, b):
 class TestExamples:
     def test_simple_maximization(self):
         sol = solve(ub_program([-1.0], [[1.0]], [1.0]))
-        assert sol.status == OPTIMAL
         assert sol.x == pytest.approx([1.0])
         assert sol.objective_value == pytest.approx(-1.0)
 
     def test_degenerate_face_resolved_by_tie_weights(self):
         sol = solve(ub_program([-1.0, -1.0], [[1.0, 1.0]], [1.0]))
-        assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0)
         # both vertices are optimal; the one with the smaller tie weight wins
         expected = [1.0, 0.0] if tie_objective(2)[0] < tie_objective(2)[1] else [0.0, 1.0]
         assert sol.x == pytest.approx(expected)
 
     def test_unbounded(self):
-        sol = solve(ub_program([-1.0], [[-1.0]], [0.0]))
-        assert sol.status == UNBOUNDED
+        with pytest.raises(SolverError, match="unbounded"):
+            solve(ub_program([-1.0], [[-1.0]], [0.0]))
+
+    def test_singular_final_basis_is_solver_error(self, monkeypatch):
+        # the duals' solve is the only np.linalg.solve of a solve
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SolverError, match="singular"):
+            solve(ub_program([-1.0], [[1.0]], [1.0]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -98,7 +103,6 @@ class TestAgainstBruteForce:
             b = np.concatenate([rng.uniform(0.2, 2.0, size=m), [rng.uniform(1.0, 5.0)]])
             reference = brute_force_min(c, A, b)
             sol = solve(ub_program(c, A, b))
-            assert sol.status == OPTIMAL
             assert sol.objective_value == pytest.approx(reference, abs=1e-8)
 
     def test_constraint_residuals(self, rng):
@@ -108,7 +112,6 @@ class TestAgainstBruteForce:
             A = np.vstack([rng.normal(size=(2, n)), np.ones(n)])
             b = np.concatenate([rng.uniform(0.5, 2.0, size=2), [3.0]])
             sol = solve(ub_program(c, A, b))
-            assert sol.status == OPTIMAL
             scale = 1e-7 * (1.0 + np.abs(b).max())
             assert np.all(A @ sol.x <= b + scale)
             assert np.all(sol.x >= -scale)
@@ -129,7 +132,6 @@ class TestDuality:
             A = np.vstack([rng.normal(size=(3, n)), np.ones(n)])
             b = np.concatenate([rng.uniform(0.2, 2.0, size=3), [rng.uniform(1.0, 4.0)]])
             sol = solve(ub_program(c, A, b))
-            assert sol.status == OPTIMAL
             assert_dual_certificate(c, A, b, sol)
 
     def test_equality_duals(self, rng):
@@ -145,7 +147,6 @@ class TestDuality:
                 objective=c, eq_lhs=A, eq_rhs=beq, ub_lhs=np.ones((1, n)), ub_rhs=[10.0],
             )
             sol = solve(lp, basis=np.append(start, n))
-            assert sol.status == OPTIMAL
             rhs_all = np.concatenate([beq, [10.0]])
             assert sol.dual @ rhs_all == pytest.approx(sol.objective_value, abs=1e-6)
 
@@ -167,7 +168,6 @@ class TestDegeneracy:
         )
         b = np.array([0.0, 0.0, 1.0])
         sol = solve(ub_program(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05)
 
     def test_beale_original_terminates(self, monkeypatch):
@@ -183,7 +183,6 @@ class TestDegeneracy:
         )
         b = np.array([0.0, 0.0, 1.0])
         sol = solve(ub_program(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-1.25)
         assert_dual_certificate(c, A, b, sol)
 
@@ -200,7 +199,6 @@ class TestDegeneracy:
         )
         b = np.array([0.0, 0.0, 1.0])
         sol = solve(ub_program(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0)
         assert_dual_certificate(c, A, b, sol)
 
@@ -218,7 +216,6 @@ class TestDegeneracy:
         A = np.vstack([rng.integers(-2, 3, size=(m, n)), np.ones(n)]).astype(float)
         b = np.concatenate([rng.choice([0.0, 0.0, 1.0, 2.0], size=m), [float(rng.integers(1, 4))]])
         sol = solve(ub_program(c, A, b))
-        assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(brute_force_min(c, A, b), abs=1e-8)
         assert_dual_certificate(c, A, b, sol)
 
@@ -259,7 +256,6 @@ class TestTieStage:
             program = ub_program(c, np.vstack([A, total]), np.append(b, 2.0))
             basis = None
         sol = solve(program, basis)
-        assert sol.status == OPTIMAL
         perm = rng.permutation(c.size)
         assert np.abs(solve_permuted(program, perm, basis) - sol.x).max() <= 1e-9
 
@@ -293,7 +289,6 @@ class TestStartBasis:
                     sol = solve(program, basis=np.append(triple, n + 2))
                 except DomainError:
                     continue
-                assert sol.status == OPTIMAL
                 xs.append(sol.x)
             assert len(xs) >= 2
             assert np.abs(np.array(xs) - xs[0]).max() <= 1e-9

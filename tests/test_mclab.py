@@ -62,6 +62,13 @@ class TestSegmentVolume:
         b = segment_volume_1d(mdp, policy, BehaviorModel.birl(1.0), 1.0)
         assert a == pytest.approx(b)
 
+    def test_policy_of_another_size_is_a_domain_error(self):
+        # two rows for the one-state MDP would be read as its first row alone
+        with pytest.raises(DomainError, match=r"policy has shape \(2, 2\), expected \(1, 2\)"):
+            segment_volume_1d(
+                one_state_mdp(0.5), PolicyTable(np.full((2, 2), 0.5)), BehaviorModel.mce(1.0), 1.0
+            )
+
     def test_rejects_wrong_shape_and_model(self, rng):
         with pytest.raises(DomainError):
             segment_volume_1d(
@@ -190,6 +197,22 @@ def test_bounded_oracles_respect_the_enumeration_cap(S, A, rng, monkeypatch):
     for oracle in oracles:
         with pytest.raises(DomainError):
             oracle()
+
+
+def test_every_oracle_rejects_no_samples(rng):
+    mdp = random_mdp(2, 2, 0.5, rng)
+    params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+    policy = det_policy([0, 1], 2)
+    oracles = (
+        lambda n: mc_volume_fraction(mdp, policy, BehaviorModel.opt(), (-1.0, 1.0), n, 0),
+        lambda n: mc_centroid_opt(mdp, policy, frozenset({0}), params, n, 0),
+        lambda n: mc_centroid_prior(mdp, params, n, 0),
+        lambda n: mc_centroid_manifold(mdp, RewardTable(np.zeros((2, 2))), 1.0, n, 0),
+        lambda n: new_env_bias_ratio(1.0, n, 0),
+    )
+    for oracle in oracles:
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            oracle(0)
 
 
 class TestBlockDraws:

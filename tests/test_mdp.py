@@ -403,3 +403,10 @@ class TestSupportMask:
         mdp = random_mdp(3, 2, 0.5, rng)
         with pytest.raises(DomainError, match="support state out of range"):
             SUPPORT_READERS[reader](mdp, det_policy([0, 1, 0], 2), {0, state})
+
+    @pytest.mark.parametrize("reader", ["is_feasible", "best_case_reward"])
+    def test_expert_of_another_size_is_a_domain_error(self, rng, reader):
+        # a 2-state expert for the 3-state MDP, not an IndexError from the mask
+        mdp = random_mdp(3, 2, 0.5, rng)
+        with pytest.raises(DomainError, match=r"expert has shape \(2, 2\), expected \(3, 2\)"):
+            SUPPORT_READERS[reader](mdp, det_policy([0, 1], 2), {0})
