@@ -69,6 +69,10 @@ def _cmd_centroid(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.num_states < 1 or args.num_actions < 1:
+        raise DomainError("--num-states and --num-actions must be >= 1")
+    if args.model != OPT and not 0.0 < args.pi_min_prime < 1.0:
+        raise DomainError("--pi-min-prime must lie in (0, 1)")
     data = ser.load_trajectories(args.data)
     with _about(args.data):
         table = estimate(data, (args.num_states, args.num_actions), args.model, args.pi_min_prime)
@@ -77,6 +81,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1 or args.h < 1:
+        raise DomainError("--n and --h must be >= 1")
+    if not 0 <= args.seed < 2**128:
+        raise DomainError("--seed must lie in [0, 2**128)")
     mdp = ser.load_mdp(args.mdp)
     policy = ser.load_policy(args.policy)
     with _about(args.mdp, args.policy):

@@ -137,15 +137,17 @@ def check_expert(expert: PolicyTable, on, kind: str, what: str) -> np.ndarray:
 
 
 def shaping(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
-    """The shaping map v(s) - gamma * E[v(s')|s, a] of values v (..., S), as (..., S, A)."""
-    return v[..., :, None] - mdp.discount * np.einsum("sap,...p->...sa", mdp.transitions, v)
+    """The shaping map v(s) - gamma * E[v(s')|s, a] of values v (..., S), as (..., S, A):
+    one product with shaping_matrix, the operator the LP flow rows and t_matrix use."""
+    return (v @ shaping_matrix(mdp).T).reshape(*v.shape[:-1], mdp.num_states, mdp.num_actions)
 
 
 def shaping_matrix(mdp: TabularMdp) -> np.ndarray:
     """The (S*A, S) matrix 1[s' = s] - gamma * p(s'|s, a), row s*A + a (Puterman 1994, 6.9)."""
     S, A = mdp.num_states, mdp.num_actions
-    mat = np.repeat(np.eye(S), A, axis=0)
-    mat -= mdp.discount * mdp.transitions.reshape(S * A, S)
+    mat = mdp.discount * mdp.transitions.reshape(S * A, S)
+    np.subtract(0.0, mat, out=mat)  # 0 - x, as in I - x: no negative zeros
+    mat[np.arange(S * A), np.repeat(np.arange(S), A)] += 1.0
     return mat
 
 

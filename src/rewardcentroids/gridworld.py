@@ -39,6 +39,10 @@ from .serialization import _float, _indices, _int, _known_keys, _load_json, load
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = len(MOVES)
+# Largest dense S x A x S float64 transition tensor a grid may build (42x42
+# fits, 43x43 does not); `gridworld build` of a grid at the limit peaks near
+# 0.8 GiB, most of it writing mdp.json.  See README.md.
+MAX_TRANSITION_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,12 @@ def spec_from_dict(doc: dict, base_dir: Path | None = None) -> GridworldSpec:
 def build_gridworld(spec: GridworldSpec) -> tuple[TabularMdp, ConstraintSpec | None]:
     """Deterministic grid MDP plus the hard constraint induced by blocked cells."""
     S, W = spec.num_states, spec.width
+    size = S * NUM_GRID_ACTIONS * S * 8
+    if size > MAX_TRANSITION_BYTES:
+        raise DomainError(
+            f"a {W}x{spec.height} grid needs a {size / 2**20:,.0f} MiB transition table, "
+            f"over the {MAX_TRANSITION_BYTES // 2**20} MiB limit"
+        )
     dx, dy = (-np.array(MOVES) if spec.reversed else np.array(MOVES)).T
     states = np.arange(S)[:, None]
     y, x = np.divmod(states, W)

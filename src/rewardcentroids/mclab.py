@@ -5,9 +5,12 @@ fractions of feasible sets, exact 1-d segment lengths, rejection-sampled
 centroids of the bounded sets, manifold-parameterized centroids, and the
 cross-environment bias ratio.  Membership never runs per-sample value
 iteration: a fixed policy's values and advantages are linear in the reward,
-so each policy becomes two fixed matrices applied to a column-laid batch.
+so each policy becomes two fixed matrices (its values, and its advantages
+at the free, non-prescribed pairs) applied to a column-laid batch.
 The bounded-set oracles build each deterministic policy's maps once per call
 and its gap once per batch, flagging the policies that must be optimal.
+A block's other work is dense products too: shaping_matrix for the shaping
+operator, and the centroid sums over a flat (k, S*A) view.
 
 Sampling is chunked; chunk i of CHUNK samples draws from an independent
 counter-derived substream of the seed, so estimates depend only on (seed, n)
@@ -87,9 +90,10 @@ def _accumulating_centroid(mdp: TabularMdp, draw, n: int, seed: int, accept=None
     accepted = 0
     for rewards in _draws(draw, n, seed):
         picked = rewards if accept is None else rewards[accept(rewards)]
-        accepted += picked.shape[0]
-        total += picked.sum(axis=0)
-        total_sq += (picked**2).sum(axis=0)
+        flat = picked.reshape(picked.shape[0], S * A)
+        accepted += flat.shape[0]
+        total += (np.ones(flat.shape[0]) @ flat).reshape(S, A)
+        total_sq += np.einsum("ij,ij->j", flat, flat).reshape(S, A)
     if accepted == 0:
         nan = np.full((S, A), np.nan)
         return McEstimate(mean=nan, std_error=nan.copy(), n_samples=n, n_accepted=0)
@@ -109,26 +113,29 @@ class _PolicyEvaluator:
     """Exact membership tests for one deterministic policy, as fixed linear maps.
 
     Over the flattened reward r (index s*A + a), v = value_map @ r and the
-    advantage q - v = gap_map @ r.  value_map (S, S*A) holds inv(I - gamma P_pi)
-    in the prescribed pairs' columns, zeros elsewhere; gap_map (S*A, S*A) is
-    I + gamma P value_map minus value_map repeated per action.  A batch of n
-    rewards is tested as the columns of an (S*A, n) view, one matmul per map.
+    advantages q - v at the free (non-prescribed) pairs are gap_map @ r.
+    value_map (S, S*A) holds inv(I - gamma P_pi) in the prescribed pairs'
+    columns, zeros elsewhere; gap_map (S*(A-1), S*A) is the free pairs' rows,
+    in pair order, of I + gamma P value_map minus value_map repeated per
+    action.  A prescribed pair's advantage is 0 identically (Bellman row) and
+    adds only 0 to a max, so it has no row.  A batch of n rewards is tested
+    as the columns of an (S*A, n) view, one matmul per map.
     """
 
     def __init__(self, mdp: TabularMdp, actions: np.ndarray):
         S, A = mdp.num_states, mdp.num_actions
         policy = PolicyTable.from_actions(actions, A)
         prescribed = np.arange(S) * A + policy.actions()
+        free = np.flatnonzero(np.tile(np.arange(A), S) != np.repeat(policy.actions(), A))
         self.value_map = np.zeros((S, S * A))
         self.value_map[:, prescribed] = np.linalg.inv(w_matrix(mdp, policy))
         self.gap_map = (
-            np.eye(S * A)
-            + mdp.discount * mdp.transitions.reshape(S * A, S) @ self.value_map
-            - np.repeat(self.value_map, A, axis=0)
+            np.eye(S * A)[free]
+            + mdp.discount * mdp.transitions.reshape(S * A, S)[free] @ self.value_map
+            - self.value_map[free // A]
         )
-        # q at the prescribed action equals v identically (Bellman row), so
-        # its row is zeroed out rather than left to floating-point noise.
-        self.gap_map[prescribed] = 0.0
+        if A == 1:  # no free pair: one zero row reads every sample as optimal
+            self.gap_map = np.zeros((1, S * A))
         self.k_pi = k_pi(mdp, policy)
 
     def optimal_mask(self, rewards: np.ndarray) -> np.ndarray:
@@ -168,7 +175,9 @@ def _bounded_opt_mask(
             wanted_optimal |= worst <= 0.0
         optimal = worst <= BOUNDED_SET_TOL
         bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + BOUNDED_SET_TOL
-        bounded &= np.abs(gap).max(axis=0) <= c2 + BOUNDED_SET_TOL
+        # Only optimal samples reach `violated`, and their gaps are at most
+        # the tolerance <= c2 + tol; there this is |gap|.max() <= c2 + tol.
+        bounded &= gap.min(axis=0) >= -(c2 + BOUNDED_SET_TOL)
         violated |= optimal & ~bounded
         any_optimal |= optimal
     mask = any_optimal & ~violated

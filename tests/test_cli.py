@@ -593,3 +593,35 @@ def test_mismatched_inputs_name_their_files(chain_files, capsys, inputs, command
     assert err.startswith("error:") and message in err and "Traceback" not in err
     for name in inputs:
         assert str(chain_files / name) in err
+
+
+def test_grid_over_the_size_limit_is_an_error_line(tmp_path, capsys):
+    # its transition table would take 302 GiB
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**GRID_3X1, "width": 300, "height": 300}))
+    assert main(["gridworld", "build", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 300x300 grid needs a ") and "Traceback" not in err
+    assert not (tmp_path / "mdp.json").exists()
+
+
+ESTIMATE_MCE = ["estimate", "--model", "mce", "--data", "{dir}/t.jsonl", "--num-states", "2", "--num-actions", "2"]
+SIMULATE_CHAIN = ["simulate", "--mdp", "{dir}/mdp.json", "--policy", "{dir}/expert.json",
+                  "--n", "2", "--h", "2", "--out", "{dir}/t2.jsonl"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    (ESTIMATE_MCE, "--pi-min-prime", "2", "--pi-min-prime must lie in (0, 1)"),
+    (ESTIMATE_MCE, "--num-states", "0", "--num-states and --num-actions must be >= 1"),
+    (ESTIMATE_MCE, "--num-actions", "0", "--num-states and --num-actions must be >= 1"),
+    (SIMULATE_CHAIN, "--n", "0", "--n and --h must be >= 1"),
+    (SIMULATE_CHAIN, "--h", "0", "--n and --h must be >= 1"),
+    (SIMULATE_CHAIN, "--seed", "-1", "--seed must lie in [0, 2**128)"),
+], ids=["pi-min-prime", "num-states", "num-actions", "n", "h", "seed"])
+def test_flag_errors_name_the_flag_not_an_input_file(chain_files, capsys, command, flag, value, message):
+    (chain_files / "t.jsonl").write_text('{"states": [0, 1], "actions": [1, 0]}\n')
+    # the flag given last wins
+    assert main([*(arg.format(dir=chain_files) for arg in command), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (chain_files / "t2.jsonl").exists()

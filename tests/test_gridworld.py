@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rewardcentroids import gridworld
 from rewardcentroids.errors import DomainError
 from rewardcentroids.gridworld import (
     DOWN,
@@ -117,6 +119,23 @@ class TestBuild:
     def test_blocked_initial_cell_rejected_as_tuples_or_lists(self, initial, blocked):
         with pytest.raises(DomainError):
             small_spec(initial_cell=initial, blocked_cells=blocked)
+
+    def test_grid_over_the_size_limit_is_rejected_before_allocating(self):
+        # 43x43 is the smallest square grid over the limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="a 43x43 grid needs a 130 MiB transition table"):
+                build_gridworld(small_spec(width=43, height=43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_grid_at_the_size_limit_builds(self, monkeypatch):
+        monkeypatch.setattr(gridworld, "MAX_TRANSITION_BYTES", 9 * NUM_GRID_ACTIONS * 9 * 8)
+        build_gridworld(small_spec())
+        with pytest.raises(DomainError, match="3x4 grid"):
+            build_gridworld(small_spec(height=4))
 
 
 class TestRender:

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rewardcentroids.geometry import (
     eta_mce,
     is_feasible,
     is_in_bounded_set,
+    shaping,
+    shaping_matrix,
 )
 from rewardcentroids.mclab import (
     McEstimate,
@@ -157,6 +160,98 @@ class TestBatchedMembership:
                 np.testing.assert_array_equal(one_pass, two_pass)
 
 
+def _full_gap_map(mdp, evaluator, actions):
+    """The advantage map over every pair, prescribed rows zeroed."""
+    S, A = mdp.num_states, mdp.num_actions
+    gap_map = (
+        np.eye(S * A)
+        + mdp.discount * mdp.transitions.reshape(S * A, S) @ evaluator.value_map
+        - np.repeat(evaluator.value_map, A, axis=0)
+    )
+    gap_map[np.arange(S) * A + actions] = 0.0
+    return gap_map
+
+
+def _reference_bounded_mask(mdp, rewards, c1, c2, wanted=None):
+    """The bounded OPT mask over full gap maps, with the |gap| bound."""
+    r = rewards.reshape(rewards.shape[0], -1).T
+    rows, evaluators = _all_policies(mdp)
+    any_optimal, violated, wanted_optimal = (np.zeros(r.shape[1], dtype=bool) for _ in range(3))
+    for i, (actions, ev) in enumerate(zip(rows, evaluators)):
+        gap = _full_gap_map(mdp, ev, actions) @ r
+        optimal = gap.max(axis=0) <= mclab.BOUNDED_SET_TOL
+        if wanted is not None and wanted[i]:
+            wanted_optimal |= gap.max(axis=0) <= 0.0
+        bounded = np.abs(ev.value_map @ r).max(axis=0) <= c1 * ev.k_pi + mclab.BOUNDED_SET_TOL
+        bounded &= np.abs(gap).max(axis=0) <= c2 + mclab.BOUNDED_SET_TOL
+        violated |= optimal & ~bounded
+        any_optimal |= optimal
+    mask = any_optimal & ~violated
+    return mask if wanted is None else mask & wanted_optimal
+
+
+class TestFreeRowMaps:
+    """The gap maps keep only the free pairs' rows; every mask is unchanged."""
+
+    @pytest.mark.parametrize("S, A", SHAPES)
+    def test_masks_match_full_gap_maps(self, rng, S, A):
+        mdp = random_mdp(S, A, 0.6, rng)
+        lo, hi = bounding_box(BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt()), 0.6)
+        rows, evaluators = _all_policies(mdp)
+        for actions in rows[:: max(1, len(rows) // 3)]:
+            halfwidth = 1.1 * k_pi(mdp, det_policy(actions, A))
+            rewards = np.concatenate([
+                rng.uniform(lo, hi, size=(200, S, A)),
+                _rewards_near_policy(mdp, actions, rng, 400, halfwidth, (-1.1, 0.1)),
+            ])
+            r = rewards.reshape(len(rewards), -1).T
+            ev = _PolicyEvaluator(mdp, actions)
+            optimal = ev.optimal_mask(rewards)
+            assert optimal.any() and not optimal.all()
+            np.testing.assert_array_equal(optimal, (_full_gap_map(mdp, ev, actions) @ r).max(axis=0) <= 0.0)
+            for wanted in (None, (rows == actions).all(axis=1)):
+                mask = _bounded_opt_mask(evaluators, rewards, 1.0, 1.0, wanted)
+                reference = _reference_bounded_mask(mdp, rewards, 1.0, 1.0, wanted)
+                assert reference.any() and not reference.all()
+                np.testing.assert_array_equal(mask, reference)
+
+    def test_one_action_mdp_reads_every_sample_as_optimal(self, rng):
+        for mdp in (one_state_mdp(0.9, num_actions=1), random_mdp(3, 1, 0.6, rng)):
+            policy = det_policy(np.zeros(mdp.num_states, dtype=int), 1)
+            est = mc_volume_fraction(mdp, policy, BehaviorModel.opt(), (-1.0, 1.0), 1_000, 0)
+            assert est.mean == 1.0 and est.n_accepted == 1_000
+
+    def test_shaping_matches_the_expectation_formula(self, rng):
+        for S, A in ((1, 2), *SHAPES, (5, 4)):
+            mdp = random_mdp(S, A, 0.9, rng)
+            matrix = shaping_matrix(mdp)
+            for v in (rng.uniform(-3.0, 3.0, size=S), rng.uniform(-3.0, 3.0, size=(4, 5, S))):
+                by_einsum = v[..., :, None] - mdp.discount * np.einsum("sap,...p->...sa", mdp.transitions, v)
+                shaped = shaping(mdp, v)
+                assert shaped.shape == (*v.shape[:-1], S, A)
+                # per sample: the bound of u_operator's rows plus S roundings
+                # of |matrix| @ |v| (tests/test_geometry.py)
+                eps, rows = np.finfo(float).eps, v.reshape(-1, S)
+                bound = 2.0 * eps * (1.0 + np.abs(by_einsum).reshape(-1, S * A).max(axis=1))
+                bound += S * eps * (np.abs(rows) @ np.abs(matrix).T).max(axis=1)
+                assert np.all(np.abs(shaped - by_einsum).reshape(-1, S * A).max(axis=1) <= bound)
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_centroid_moments_match_numpy(self, rng, bounded):
+        # two whole blocks and a ragged one, all in the first chunk
+        mdp = random_mdp(2, 3, 0.5, rng)
+        params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+        draw = mclab._uniform_box(mdp, bounding_box(params, mdp.discount) if bounded else (-1.0, 3.0))
+        accept = partial(_bounded_opt_mask, _all_policies(mdp)[1], c1=1.0, c2=1.0) if bounded else None
+        n = 2 * mclab.BLOCK + 5
+        est = mclab._accumulating_centroid(mdp, draw, n, 7, accept)
+        picked = np.concatenate([b if accept is None else b[accept(b)] for b in mclab._draws(draw, n, 7)])
+        k = picked.shape[0]
+        assert est.n_accepted == k and k > 1
+        np.testing.assert_allclose(est.mean, picked.mean(axis=0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(est.std_error, picked.std(axis=0, ddof=1) / np.sqrt(k), rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     S=st.integers(1, 4),
@@ -172,12 +267,14 @@ def test_linear_maps_reproduce_policy_evaluation(S, A, gamma, seed):
     rewards = rng.uniform(-1.0, 1.0, size=(5, S, A))
     r = rewards.reshape(5, -1).T
     values, gaps = evaluator.value_map @ r, evaluator.gap_map @ r
+    # one row per free (non-prescribed) pair s*A + a, in pair order
+    free = [s * A + a for s in range(S) for a in range(A) if a != actions[s]]
+    assert evaluator.gap_map.shape == (S * (A - 1), S * A)
     for i in range(5):
         exact = policy_evaluation(mdp, det_policy(actions, A), RewardTable(rewards[i]))
         atol = 1e-9 * (1.0 + np.abs(exact.v).max()) / (1.0 - gamma)
         np.testing.assert_allclose(values[:, i], exact.v, rtol=0.0, atol=atol)
-        np.testing.assert_allclose(gaps[:, i].reshape(S, A), exact.advantage, rtol=0.0, atol=atol)
-    assert np.all(gaps.reshape(S, A, 5)[np.arange(S), actions] == 0.0)
+        np.testing.assert_allclose(gaps[:, i], exact.advantage.ravel()[free], rtol=0.0, atol=atol)
 
 
 @pytest.mark.parametrize("S, A", SHAPES)
