@@ -15,22 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OPT, BehaviorModel, check_expert, log_policy
+from .geometry import BIRL, MCE, OPT, check_expert, log_policy
 from .mdp import PolicyTable, RewardTable, support_mask
 
 
 @dataclass(frozen=True)
 class CentroidRequest:
-    """Expert policy plus the visited-state set a centroid is built from; S and A are the expert's."""
+    """Expert policy, the visited-state set a centroid is built from, and the
+    behavior model's kind; S and A are the expert's.  A model's coefficient
+    would only rescale the centroid, so the request carries none."""
 
     expert: PolicyTable
     support: frozenset[int]
-    model: BehaviorModel
+    kind: str
 
     def __post_init__(self):
+        kind = self.kind
+        if kind not in (OPT, MCE, BIRL):
+            raise DomainError(f"unknown behavior model kind {kind!r}")
         on = support_mask(self.support, self.num_states)
         object.__setattr__(self, "support", frozenset(np.flatnonzero(on).tolist()))
-        kind = self.model.kind
         if kind != OPT and not on.all():
             raise DomainError("MCE/BIRL centroids require full support")
         check_expert(self.expert, on, kind, f"the {kind.upper()} centroid's expert on its support")
@@ -57,19 +61,12 @@ def centroid(req: CentroidRequest) -> RewardTable:
     OPT: the `opt_table` of the pairs (s, expert action) over the support.
     MCE and BIRL: `log_policy` of the expert probabilities.
     """
-    if req.model.kind != OPT:
-        return RewardTable(log_policy(req.expert.probs, req.model.kind))
+    if req.kind != OPT:
+        return RewardTable(log_policy(req.expert.probs, req.kind))
     rows = sorted(req.support)
     visited = np.zeros((req.num_states, req.num_actions), dtype=bool)
     visited[rows, req.expert.actions()[rows]] = True
     return opt_table(visited)
-
-
-def prior_centroid_opt(num_states: int, num_actions: int) -> RewardTable:
-    """Rescaled centroid of the bounded OPT prior itself: the zero table."""
-    if num_states < 1 or num_actions < 1:
-        raise DomainError("dimensions must be positive")
-    return RewardTable(np.zeros((num_states, num_actions)))
 
 
 def enumerate_extensions(req: CentroidRequest) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -91,7 +88,7 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
     extensions prescribing a at s, normalized by the total mass.  The uniform
     q therefore reproduces `centroid` exactly.
     """
-    if req.model.kind != OPT:
+    if req.kind != OPT:
         raise DomainError("weighted_centroid_opt requires an OPT request")
     off, extensions = enumerate_extensions(req)
     q = np.asarray(q, dtype=float)

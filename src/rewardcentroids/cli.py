@@ -18,17 +18,12 @@ from . import mclab
 from .centroids import CentroidRequest, affine_fit, centroid, constant_fit
 from .errors import DomainError, SolverError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, simulate_expert
-from .geometry import BIRL, COEFFICIENT_KEYS, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
+from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import PolicyTable, RewardTable, TabularMdp, philox, random_mdp
 from .planning import mimic_policy, plan
 from .render import render_grid_svg
 from . import serialization as ser
-
-
-def _model_from_args(args) -> BehaviorModel:
-    key = COEFFICIENT_KEYS.get(args.model)
-    return BehaviorModel(args.model, None if key is None else vars(args)[key])
 
 
 @contextmanager
@@ -45,25 +40,22 @@ def _about(*paths):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n")
+        ser._dump_json(doc, out)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _cmd_centroid(args) -> int:
-    model = _model_from_args(args)
     policy = ser.load_policy(args.policy)
-    if model.kind == OPT:
+    if args.model == OPT:
         if args.support is None:
             raise DomainError("the OPT centroid needs --support")
         support = ser.load_support(args.support)
     else:
         support = frozenset(range(policy.probs.shape[0]))
     with _about(args.policy, args.support):
-        reward = centroid(CentroidRequest(expert=policy, support=support, model=model))
+        reward = centroid(CentroidRequest(expert=policy, support=support, kind=args.model))
     _emit(ser.reward_to_dict(reward), args.out)
     return 0
 
@@ -150,12 +142,9 @@ def _check_prop1(n: int, seed: int) -> dict:
 
 
 def _check_prop2(n: int, seed: int) -> dict:
-    mdp = TabularMdp(1, 2, 0, np.ones((1, 2, 1)), 0.9)
     lengths = [
-        mclab.segment_volume_1d(mdp, PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0),
-        mclab.segment_volume_1d(
-            mdp, PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0
-        ),
+        mclab.segment_volume_1d(PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0),
+        mclab.segment_volume_1d(PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0),
     ]
     targets = [2.0, 2.0 - float(np.log(2.0))]
     ok = all(abs(l - t) <= 1e-12 for l, t in zip(lengths, targets))
@@ -207,7 +196,7 @@ def _check_centroid_opt(n: int, seed: int) -> dict:
     est = mclab.mc_centroid_opt(mdp, expert, support, params, n, seed)
     if est.n_accepted == 0:
         raise DomainError(f"centroid-opt accepted none of {n} samples; use a larger --n")
-    closed = centroid(CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt()))
+    closed = centroid(CentroidRequest(expert=expert, support=support, kind=OPT))
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
     ok = fit.alpha > 0 and fit.residual_sup <= bound
@@ -342,20 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p):
-        p.add_argument("--model", choices=[OPT, MCE, BIRL], required=True)
-        p.add_argument("--lambda", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=1.0)
-
     p = sub.add_parser("centroid", help="closed-form centroid of an expert policy")
-    add_model_flags(p)
+    p.add_argument("--model", choices=[OPT, MCE, BIRL], required=True)
     p.add_argument("--policy", required=True)
     p.add_argument("--support")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_centroid)
 
     p = sub.add_parser("estimate", help="estimate a centroid from trajectories")
-    add_model_flags(p)
+    p.add_argument("--model", choices=[OPT, MCE, BIRL], required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--num-states", type=int, required=True)
     p.add_argument("--num-actions", type=int, required=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .centroids import CentroidRequest, centroid, opt_table
 from .errors import DomainError
-from .geometry import BIRL, MCE, OPT, BehaviorModel, log_policy
+from .geometry import BIRL, MCE, OPT, log_policy
 from .mdp import (
     PolicyTable,
     RewardTable,
@@ -254,7 +254,7 @@ def exact_estimate(
     For OPT this is the closed-form centroid itself.
     """
     if kind == OPT:
-        return centroid(CentroidRequest(expert, support, BehaviorModel.opt()))
+        return centroid(CentroidRequest(expert, support, OPT))
     if kind not in (MCE, BIRL):
         raise DomainError(f"unknown behavior model kind {kind!r}")
     _check_pi_min_prime(pi_min_prime)

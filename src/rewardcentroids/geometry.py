@@ -28,14 +28,11 @@ from .mdp import (
     soft_value_iteration,
     support_mask,
     value_iteration,
-    w_matrix,
 )
 
 OPT = "opt"
 MCE = "mce"
 BIRL = "birl"
-# The name of each model's coefficient in configs and on the command line.
-COEFFICIENT_KEYS = {MCE: "lambda", BIRL: "beta"}
 
 
 @dataclass(frozen=True)
@@ -68,40 +65,21 @@ class BehaviorModel:
 
 @dataclass(frozen=True)
 class BoundedSetParams:
-    """Constants c1 (value bound) and c2 (advantage bound) for a model.
+    """Finite positive constants c1 (value bound) and c2 (advantage bound) for a model.
 
-    When pi_min is supplied, the advantage bound is validated against the
-    model-specific threshold below which the bounded set cannot contain the
-    whole feasible set of a pi_min-bounded policy (the BIRL threshold also
-    needs num_actions).
+    The bounded set holds the whole feasible set of a policy whose
+    probabilities are all at least pi_min only when c2 reaches the model's
+    largest advantage there: lam * log(1/pi_min) for MCE and
+    beta * log(1/(A * pi_min)) for BIRL.
     """
 
     c1: float
     c2: float
     model: BehaviorModel
-    pi_min: float | None = None
-    num_actions: int | None = None
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise DomainError("c1 and c2 must be positive")
-        if self.pi_min is not None:
-            if not (0 < self.pi_min <= 1):
-                raise DomainError("pi_min must lie in (0, 1]")
-            if self.model.kind == MCE:
-                needed = self.model.coefficient * np.log(1.0 / self.pi_min)
-                if self.c2 < needed - 1e-12:
-                    raise DomainError(
-                        f"MCE requires c2 >= lam * log(1/pi_min) = {needed:.6g}"
-                    )
-            elif self.model.kind == BIRL and self.num_actions is not None:
-                needed = self.model.coefficient * np.log(
-                    1.0 / (self.num_actions * self.pi_min)
-                )
-                if self.c2 < needed - 1e-12:
-                    raise DomainError(
-                        f"BIRL requires c2 >= beta * log(1/(A*pi_min)) = {needed:.6g}"
-                    )
+        if not (np.isfinite(self.c1) and np.isfinite(self.c2) and self.c1 > 0 and self.c2 > 0):
+            raise DomainError("c1 and c2 must be finite and positive")
 
 
 def default_bounded_params(model: BehaviorModel, gamma: float, num_actions: int) -> BoundedSetParams:
@@ -271,12 +249,3 @@ def t_matrix(mdp: TabularMdp, det_policy: PolicyTable) -> np.ndarray:
     free = np.flatnonzero(np.tile(np.arange(A), S) != np.repeat(actions, A))
     mat[free, S + np.arange(free.size)] = 1.0
     return mat
-
-
-def t_matrix_determinant_check(
-    mdp: TabularMdp, det_policy: PolicyTable
-) -> tuple[float, float]:
-    """(|det T|, |det W|) for the policy; the two magnitudes coincide."""
-    det_t = abs(float(np.linalg.det(t_matrix(mdp, det_policy))))
-    det_w = abs(float(np.linalg.det(w_matrix(mdp, det_policy))))
-    return det_t, det_w

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, exact_estimate, simulate_expert
-from .geometry import COEFFICIENT_KEYS, BehaviorModel
+from .geometry import BIRL, MCE, OPT
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -142,17 +142,6 @@ class ScenarioReport:
     value: float | None
 
 
-def _model_from_config(doc) -> BehaviorModel | None:
-    if doc is None:
-        return None
-    if isinstance(doc, str):
-        doc = {"kind": doc}
-    kind = doc["kind"]
-    key = COEFFICIENT_KEYS.get(kind)
-    _known_keys(doc, ("kind",) if key is None else ("kind", key), "model")
-    return BehaviorModel(kind, None if key is None else _float(doc, key, "model", default=1.0))
-
-
 @dataclass(frozen=True)
 class _Scenario:
     """A scenario config document, converted when it is read."""
@@ -160,7 +149,7 @@ class _Scenario:
     source: GridworldSpec
     target: GridworldSpec
     planner: str
-    model: BehaviorModel | None
+    model: str | None  # the behavior model's kind; a coefficient would only rescale the centroid
     estimator: tuple[int, int, float] | None  # (n, h, pi_min_prime); None is the exact limit
     seeds: dict[str, int]
 
@@ -182,9 +171,11 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
     source = spec_from_dict(doc["gridworld"], base_dir=base_dir)
     if source.expert_policy_file is None:
         raise DomainError("the scenario's gridworld needs an expert_policy_file")
-    planner, model = doc.get("planner", "centroid"), _model_from_config(doc.get("model"))
+    planner, model = doc.get("planner", "centroid"), doc.get("model")
     if planner not in PLANNERS:
         raise DomainError(f"unknown planner {planner!r}; accepted: {list(PLANNERS)}")
+    if model is not None and model not in (OPT, MCE, BIRL):
+        raise DomainError(f"unknown behavior model {model!r}; accepted: {[OPT, MCE, BIRL]}")
     if planner == "centroid" and model is None:
         raise DomainError("centroid planning needs a behavior model")
     return _Scenario(
@@ -203,12 +194,11 @@ def _scenario_reward(
     expert: PolicyTable,
     support: frozenset[int],
 ) -> RewardTable:
-    kind = scenario.model.kind
     if scenario.estimator is None:
-        return exact_estimate(expert, support, kind)
+        return exact_estimate(expert, support, scenario.model)
     n, h, pi_min_prime = scenario.estimator
     data = simulate_expert(source, expert, n, h, scenario.seeds.get("simulate", 0))
-    return estimate(data, (source.num_states, source.num_actions), kind, pi_min_prime)
+    return estimate(data, (source.num_states, source.num_actions), scenario.model, pi_min_prime)
 
 
 def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
@@ -264,7 +254,7 @@ def run_scenario(name: str, config_path, out_dir) -> ScenarioReport:
     report = {
         "name": name,
         "planner": planner,
-        "model": None if model is None else model.kind,
+        "model": model,
         "value": value,
         "support_size": len(support),
         "support_mass": float(occupancy.state_marginal()[sorted(support)].sum()),

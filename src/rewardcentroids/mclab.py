@@ -184,6 +184,13 @@ def _bounded_opt_mask(
     return mask if wanted is None else mask & wanted_optimal
 
 
+def _bounded_opt_test(params: BoundedSetParams, evaluators: list[_PolicyEvaluator], wanted=None):
+    """_bounded_opt_mask under the params' constants; the oracles sample the OPT bounded set only."""
+    if params.model.kind != OPT:
+        raise DomainError(f"the bounded-set oracles take OPT params, not {params.model.kind.upper()}")
+    return partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
+
+
 def mc_volume_fraction(
     mdp: TabularMdp,
     policy: PolicyTable,
@@ -196,7 +203,7 @@ def mc_volume_fraction(
     """Fraction of a uniform sample of the box that makes the policy optimal.
 
     Only the OPT model carries full-dimensional feasible sets, so only OPT is
-    accepted here.  With params supplied, membership in the bounded set is
+    accepted here.  With (OPT) params supplied, membership in the bounded set is
     required as well.
     """
     if model.kind != OPT:
@@ -210,30 +217,24 @@ def mc_volume_fraction(
         hit = _PolicyEvaluator(mdp, actions).optimal_mask
     else:
         rows, evaluators = _all_policies(mdp)
-        wanted = (rows == actions).all(axis=1)
-        hit = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
+        hit = _bounded_opt_test(params, evaluators, wanted=(rows == actions).all(axis=1))
     return _bernoulli_fraction(_uniform_box(mdp, box), hit, n, seed)
 
 
-def segment_volume_1d(
-    mdp: TabularMdp,
-    policy: PolicyTable,
-    model: BehaviorModel,
-    box_halfwidth: float,
-) -> float:
+def segment_volume_1d(policy: PolicyTable, model: BehaviorModel, box_halfwidth: float) -> float:
     """Exact length of the 1-d MCE/BIRL feasible line inside a centered box.
 
-    On the single-state two-action instance the feasible set is the line
-    r(a1) = r(a2) + coef * log(pi(a1)/pi(a2)); the returned value is the
-    length of its intersection with the box, measured along the r(a2) axis.
+    On the single-state two-action instance (any discount) the feasible set
+    is the line r(a1) = r(a2) + coef * log(pi(a1)/pi(a2)); the returned value
+    is the length of its intersection with the box, measured along the r(a2)
+    axis.
     """
-    if mdp.num_states != 1 or mdp.num_actions != 2:
-        raise DomainError("segment volume requires exactly 1 state and 2 actions")
+    if policy.probs.shape != (1, 2):
+        raise DomainError(f"policy has shape {policy.probs.shape}, expected (1, 2)")
     if model.kind == OPT:
         raise DomainError("segment volume applies to MCE/BIRL only")
     if box_halfwidth <= 0:
         raise DomainError("box_halfwidth must be positive")
-    check_table(mdp, policy.probs, "policy")
     check_expert(policy, slice(None), model.kind, "a segment volume's policy")
     p = policy.probs[0]
     shift = model.coefficient * float(np.log(p[0]) - np.log(p[1]))
@@ -261,8 +262,7 @@ def mc_centroid_opt(
     actions = check_expert(expert, on, OPT, "mc_centroid_opt's expert on its support")
     box = bounding_box(params, mdp.discount)
     rows, evaluators = _all_policies(mdp)
-    wanted = (rows[:, on] == actions[on]).all(axis=1)
-    accept = partial(_bounded_opt_mask, evaluators, c1=params.c1, c2=params.c2, wanted=wanted)
+    accept = _bounded_opt_test(params, evaluators, wanted=(rows[:, on] == actions[on]).all(axis=1))
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 
@@ -271,7 +271,7 @@ def mc_centroid_prior(
 ) -> McEstimate:
     """Mean of the bounded OPT set alone (no feasibility predicate)."""
     box = bounding_box(params, mdp.discount)
-    accept = partial(_bounded_opt_mask, _all_policies(mdp)[1], c1=params.c1, c2=params.c2)
+    accept = _bounded_opt_test(params, _all_policies(mdp)[1])
     return _accumulating_centroid(mdp, _uniform_box(mdp, box), n, seed, accept)
 
 

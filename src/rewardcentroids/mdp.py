@@ -321,10 +321,3 @@ def random_mdp(
         transitions=transitions,
         discount=discount,
     )
-
-
-def random_policy(
-    num_states: int, num_actions: int, rng: np.random.Generator
-) -> PolicyTable:
-    """Random stochastic policy with Dirichlet rows."""
-    return PolicyTable(rng.dirichlet(np.ones(num_actions), size=num_states))

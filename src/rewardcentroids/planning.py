@@ -57,8 +57,8 @@ class ConstraintSpec:
     budget: float
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise DomainError("budget must be nonnegative")
+        if not (np.isfinite(self.budget) and self.budget >= 0):
+            raise DomainError(f"budget must be finite and nonnegative, not {self.budget!r}")
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,11 @@ def det_policy(actions, num_actions: int) -> PolicyTable:
     return PolicyTable.from_actions(actions, num_actions)
 
 
+def random_policy(num_states: int, num_actions: int, rng: np.random.Generator) -> PolicyTable:
+    """Random stochastic policy with Dirichlet rows."""
+    return PolicyTable(rng.dirichlet(np.ones(num_actions), size=num_states))
+
+
 def solve_permuted(program: LinearProgram, perm: np.ndarray, basis=None) -> np.ndarray:
     """x of `program` solved with its columns and its tie weights permuted by
     perm, from `basis` with its structural columns moved along, put back in

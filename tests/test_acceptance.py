@@ -25,6 +25,9 @@ from rewardcentroids.estimators import (
     simulate_expert,
 )
 from rewardcentroids.geometry import (
+    BIRL,
+    MCE,
+    OPT,
     AdvantageGap,
     BehaviorModel,
     BoundedSetParams,
@@ -93,11 +96,8 @@ def test_criterion_01_hypercube_bias_fraction():
 
 
 def test_criterion_02_exact_segment_lengths():
-    mdp = TabularMdp(1, 2, 0, np.ones((1, 2, 1)), 0.9)
-    balanced = segment_volume_1d(mdp, PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0)
-    skewed = segment_volume_1d(
-        mdp, PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0
-    )
+    balanced = segment_volume_1d(PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0)
+    skewed = segment_volume_1d(PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0)
     ok = abs(balanced - 2.0) <= 1e-12 and abs(skewed - (2.0 - np.log(2.0))) <= 1e-12
     report(2, ok, f"lengths ({balanced:.15f}, {skewed:.15f}) vs (2, 2-log2) at 1e-12")
 
@@ -129,7 +129,7 @@ def test_criterion_04_centroid_matches_closed_form():
     support = frozenset({0})
     est = mc_centroid_opt(mdp, expert, support, OPT_PARAMS_UNIT, 10_000_000, seed=11)
     closed = centroid(
-        CentroidRequest(expert=expert, support=support, model=BehaviorModel.opt())
+        CentroidRequest(expert=expert, support=support, kind=OPT)
     )
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
@@ -200,7 +200,7 @@ def test_criterion_08_exact_recovery_rate():
     reference = centroid(
         CentroidRequest(
             expert=expert, support=frozenset(range(5)),
-            model=BehaviorModel.opt(),
+            kind=OPT,
         )
     )
     hits = sum(
@@ -226,10 +226,10 @@ def test_criterion_09_estimator_error_rates():
     support = frozenset(range(S))
     refs = {
         "mce": centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
+            CentroidRequest(expert=expert, support=support, kind=MCE)
         ),
         "birl": centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
+            CentroidRequest(expert=expert, support=support, kind=BIRL)
         ),
     }
     estimators = {"mce": estimate_mce, "birl": estimate_birl}
@@ -264,7 +264,7 @@ def test_criterion_10_imitation_consistency():
             r_e = t_operator(mdp, expert, rng.normal(size=4), AdvantageGap(gaps))
             req = CentroidRequest(
                 expert=expert, support=frozenset(range(4)),
-                model=BehaviorModel.opt(),
+                kind=OPT,
             )
             closed = centroid(req)
         else:
@@ -275,14 +275,14 @@ def test_criterion_10_imitation_consistency():
                 r_e = u_operator(mdp, eta_mce(expert, 0.9), rng.normal(size=4))
                 req = CentroidRequest(
                     expert=expert, support=frozenset(range(4)),
-                    model=BehaviorModel.mce(0.9),
+                    kind=MCE,
                 )
                 closed = centroid(req)
             else:
                 r_e = u_operator(mdp, eta_birl(expert, 1.1), rng.normal(size=4))
                 req = CentroidRequest(
                     expert=expert, support=frozenset(range(4)),
-                    model=BehaviorModel.birl(1.1),
+                    kind=BIRL,
                 )
                 closed = centroid(req)
         planned = greedy_policy(value_iteration(mdp, closed))

@@ -10,11 +10,10 @@ from rewardcentroids.centroids import (
     centroid,
     constant_fit,
     enumerate_extensions,
-    prior_centroid_opt,
     weighted_centroid_opt,
 )
 from rewardcentroids.errors import DomainError
-from rewardcentroids.geometry import AdvantageGap, BehaviorModel, bounding_box, BoundedSetParams, eta_birl, eta_mce, t_operator, u_operator
+from rewardcentroids.geometry import BIRL, MCE, OPT, AdvantageGap, BehaviorModel, bounding_box, BoundedSetParams, eta_birl, eta_mce, t_operator, u_operator
 from rewardcentroids.mdp import (
     PolicyTable,
     RewardTable,
@@ -31,7 +30,7 @@ def opt_request(expert, support):
     return CentroidRequest(
         expert=expert,
         support=frozenset(support),
-        model=BehaviorModel.opt(),
+        kind=OPT,
     )
 
 
@@ -60,7 +59,7 @@ class TestClosedForms:
         req = CentroidRequest(
             expert=PolicyTable([[0.5, 0.5]]),
             support=frozenset({0}),
-            model=BehaviorModel.mce(1.0),
+            kind=MCE,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(0.5)] * 2)
 
@@ -68,7 +67,7 @@ class TestClosedForms:
         req = CentroidRequest(
             expert=PolicyTable([[1 / 3, 2 / 3]]),
             support=frozenset({0}),
-            model=BehaviorModel.mce(1.0),
+            kind=MCE,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(1 / 3), np.log(2 / 3)])
 
@@ -76,7 +75,7 @@ class TestClosedForms:
         req = CentroidRequest(
             expert=PolicyTable([[1 - 1e-6, 1e-6]]),
             support=frozenset({0}),
-            model=BehaviorModel.mce(1.0),
+            kind=MCE,
         )
         vals = centroid(req).values[0]
         assert vals[0] == pytest.approx(-1e-6, abs=1e-9)
@@ -87,14 +86,14 @@ class TestClosedForms:
             CentroidRequest(
                 expert=PolicyTable([[0.5, 0.5], [0.5, 0.5]]),
                 support=frozenset({0}),
-                model=BehaviorModel.mce(1.0),
+                kind=MCE,
             )
 
     def test_birl_uniform_is_zero(self):
         req = CentroidRequest(
             expert=PolicyTable([[0.5, 0.5]]),
             support=frozenset({0}),
-            model=BehaviorModel.birl(1.0),
+            kind=BIRL,
         )
         assert np.all(centroid(req).values == 0.0)
 
@@ -102,7 +101,7 @@ class TestClosedForms:
         req = CentroidRequest(
             expert=PolicyTable([[1 / 3, 2 / 3]]),
             support=frozenset({0}),
-            model=BehaviorModel.birl(1.0),
+            kind=BIRL,
         )
         assert centroid(req).values[0] == pytest.approx([np.log(0.5), 0.0])
 
@@ -111,16 +110,17 @@ class TestClosedForms:
             CentroidRequest(
                 expert=det_policy([0], 2),
                 support=frozenset({0}),
-                model=BehaviorModel.birl(1.0),
+                kind=BIRL,
             )
 
     def test_dimensions_are_read_off_the_expert(self):
         req = opt_request(det_policy([0, 2], 3), {1})
         assert (req.num_states, req.num_actions) == (2, 3)
 
-    def test_prior_centroid_is_zero(self):
-        assert np.all(prior_centroid_opt(4, 3).values == 0.0)
-        assert prior_centroid_opt(1, 1).values == pytest.approx(np.zeros((1, 1)))
+    @pytest.mark.parametrize("kind", ["OPT", "maxent", None])
+    def test_unknown_kind_is_a_domain_error(self, kind):
+        with pytest.raises(DomainError, match="unknown behavior model kind"):
+            CentroidRequest(expert=det_policy([0, 1], 2), support=frozenset({0, 1}), kind=kind)
 
 
 class TestStructure:
@@ -130,7 +130,7 @@ class TestStructure:
         req = CentroidRequest(
             expert=PolicyTable(probs),
             support=frozenset(range(4)),
-            model=BehaviorModel.birl(1.0),
+            kind=BIRL,
         )
         vals = centroid(req).values
         assert np.all(vals.max(axis=1) == 0.0)
@@ -142,10 +142,10 @@ class TestStructure:
         expert = PolicyTable(probs)
         support = frozenset(range(5))
         mce = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
+            CentroidRequest(expert=expert, support=support, kind=MCE)
         )
         birl = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
+            CentroidRequest(expert=expert, support=support, kind=BIRL)
         )
         diff = mce.values - birl.values
         assert np.ptp(diff, axis=1) == pytest.approx(np.zeros(5), abs=1e-12)
@@ -313,7 +313,7 @@ class TestImitationConsistency:
             expert = PolicyTable(probs)
             r_e = u_operator(mdp, eta_mce(expert, 0.7), rng.normal(size=4))
             req = CentroidRequest(
-                expert=expert, support=frozenset(range(4)), model=BehaviorModel.mce(0.7)
+                expert=expert, support=frozenset(range(4)), kind=MCE
             )
             closed = centroid(req)
             planned = greedy_policy(value_iteration(mdp, closed))
@@ -327,7 +327,7 @@ class TestImitationConsistency:
             expert = PolicyTable(probs)
             r_e = u_operator(mdp, eta_birl(expert, 1.2), rng.normal(size=4))
             req = CentroidRequest(
-                expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.2)
+                expert=expert, support=frozenset(range(4)), kind=BIRL
             )
             closed = centroid(req)
             planned = greedy_policy(value_iteration(mdp, closed))
@@ -340,7 +340,7 @@ class TestImitationConsistency:
         probs /= probs.sum(axis=1, keepdims=True)
         expert = PolicyTable(probs)
         req = CentroidRequest(
-            expert=expert, support=frozenset(range(4)), model=BehaviorModel.birl(1.0)
+            expert=expert, support=frozenset(range(4)), kind=BIRL
         )
         closed = centroid(req)
         assert np.all(closed.values.max(axis=1) == 0.0)

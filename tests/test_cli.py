@@ -257,6 +257,10 @@ SCENARIO = {**FIG2C, "gridworld": {**FIG2C["gridworld"],
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("c.json", json.dumps({**SCENARIO, "model": {"kind": "opt", "lambda": 2.0}}),
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "model": {"kind": "mce", "lambda": False}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
+        ("c.json", json.dumps({**SCENARIO, "model": {"kind": "birl", "beta": "1.0"}}),
+         ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("c.json", json.dumps({**SCENARIO, "seeds": {"simulat": 3}}),
          ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]),
         ("c.json", json.dumps({**SCENARIO, "outputs": ["policy_svgg"]}),
@@ -328,8 +332,6 @@ RUN = ["gridworld", "run", "--config", "{path}", "--out-dir", "{dir}"]
         ("s.json", {**GRID_3X1, "gamma": "0.5"}, ["render", "--spec", "{path}", "--out", "{dir}/g.svg"]),
         ("m.json", {**CHAIN_MDP, "gamma": None}, SIMULATE),
         ("m.json", {**CHAIN_MDP, "gamma": True}, SIMULATE),
-        ("c.json", {**SCENARIO, "model": {"kind": "mce", "lambda": False}}, RUN),
-        ("c.json", {**SCENARIO, "model": {"kind": "birl", "beta": "1.0"}}, RUN),
         ("c.json", {**SCENARIO, "model": "mce", "estimator": {"n": 10, "h": 5, "pi_min_prime": None}}, RUN),
         ("k.json", {"cost": [[0.0, 1.0], [0.0, 0.0]], "budget": True},
          ["plan", "--mdp", "{dir}/mdp.json", "--reward", "{dir}/r.json", "--constraint", "{path}"]),
@@ -499,6 +501,9 @@ def test_gridworld_reversed_flag_of_another_type_is_a_domain_error(tmp_path, cap
     "content, message",
     [
         ({**SCENARIO, "planner": "nope"}, "unknown planner 'nope'"),
+        ({**SCENARIO, "model": "maxent"}, "unknown behavior model 'maxent'"),
+        # the model is its kind alone: a coefficient would only rescale the centroid
+        ({**SCENARIO, "model": {"kind": "mce", "lambda": 1.0}}, "unknown behavior model {"),
         ({k: v for k, v in SCENARIO.items() if k != "model"}, "centroid planning needs a behavior model"),
         ({**SCENARIO, "gridworld": {k: v for k, v in SCENARIO["gridworld"].items() if k != "expert_policy_file"}},
          "needs an expert_policy_file"),
@@ -625,3 +630,29 @@ def test_flag_errors_name_the_flag_not_an_input_file(chain_files, capsys, comman
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not (chain_files / "t2.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["centroid", "--model", "opt", "--policy", "{dir}/expert.json", "--support", "{dir}/support.json",
+     "--lambda", "2"],
+    ["estimate", "--model", "birl", "--data", "{dir}/t.jsonl", "--num-states", "2", "--num-actions", "2",
+     "--beta", "1"],
+], ids=["centroid-lambda", "estimate-beta"])
+def test_model_coefficient_flags_are_usage_errors(chain_files, capsys, command):
+    # a coefficient only rescales the centroid, so the programs take the model's kind alone
+    (chain_files / "t.jsonl").write_text('{"states": [0, 1], "actions": [1, 0]}\n')
+    assert main([arg.format(dir=chain_files) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_non_finite_constraint_budget_is_a_domain_error(chain_files, capsys, budget):
+    save_reward(RewardTable(np.eye(2)), chain_files / "r.json")
+    path = chain_files / "c.json"
+    path.write_text(json.dumps({"cost": [[0.0, 1.0], [0.0, 0.0]], "budget": budget}))
+    argv = ["plan", "--mdp", str(chain_files / "mdp.json"), "--reward", str(chain_files / "r.json"),
+            "--constraint", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: budget must be finite and nonnegative, not {budget!r}\n"

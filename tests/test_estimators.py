@@ -27,7 +27,7 @@ from rewardcentroids.estimators import (
     sample_bound,
     simulate_expert,
 )
-from rewardcentroids.geometry import BehaviorModel, log_policy
+from rewardcentroids.geometry import BIRL, MCE, OPT, log_policy
 from rewardcentroids.gridworld import build_gridworld, spec_from_dict
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import PolicyTable, TabularMdp, random_mdp, reachable_support
@@ -392,7 +392,7 @@ class TestEstimators:
         data = simulate_expert(mdp, expert, n=3, h=4, seed=0)
         est = estimate_opt(data, (4, 2))
         req = CentroidRequest(
-            expert=expert, support=frozenset(range(4)), model=BehaviorModel.opt()
+            expert=expert, support=frozenset(range(4)), kind=OPT
         )
         assert np.array_equal(est.values, centroid(req).values)
 
@@ -439,7 +439,7 @@ class TestEstimators:
         reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
-                model=BehaviorModel.opt(),
+                kind=OPT,
             )
         )
         assert np.array_equal(est.values, reference.values)
@@ -454,10 +454,10 @@ class TestEstimators:
         birl = estimate_birl(data, dims)
         support = frozenset(range(5))
         mce_ref = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.mce(1.0))
+            CentroidRequest(expert=expert, support=support, kind=MCE)
         )
         birl_ref = centroid(
-            CentroidRequest(expert=expert, support=support, model=BehaviorModel.birl(1.0))
+            CentroidRequest(expert=expert, support=support, kind=BIRL)
         )
         assert np.abs(mce.values - mce_ref.values).max() <= 0.05
         assert np.abs(birl.values - birl_ref.values).max() <= 0.05
@@ -679,7 +679,7 @@ class TestExactRecoveryGuarantee:
         reference = centroid(
             CentroidRequest(
                 expert=expert, support=frozenset(range(5)),
-                model=BehaviorModel.opt(),
+                kind=OPT,
             )
         )
         hits = 0

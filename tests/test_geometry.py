@@ -16,7 +16,6 @@ from rewardcentroids.geometry import (
     shaping,
     shaping_matrix,
     t_matrix,
-    t_matrix_determinant_check,
     t_operator,
     u_operator,
 )
@@ -47,21 +46,13 @@ class TestBehaviorModel:
         with pytest.raises(DomainError):
             BehaviorModel.mce(0.0)
 
-    def test_mce_c2_threshold_enforced(self):
-        model = BehaviorModel.mce(1.0)
-        with pytest.raises(DomainError):
-            BoundedSetParams(c1=1.0, c2=1.0, model=model, pi_min=0.01)
-        BoundedSetParams(c1=1.0, c2=np.log(100.0) + 0.1, model=model, pi_min=0.01)
-
-    def test_birl_c2_threshold_enforced(self):
-        model = BehaviorModel.birl(1.0)
-        with pytest.raises(DomainError):
-            BoundedSetParams(c1=1.0, c2=1.0, model=model, pi_min=0.01, num_actions=2)
-        BoundedSetParams(
-            c1=1.0, c2=np.log(50.0) + 0.1, model=model, pi_min=0.01, num_actions=2
-        )
-        # the threshold can be negative, in which case any c2 > 0 is fine
-        BoundedSetParams(c1=1.0, c2=0.1, model=model, pi_min=0.9, num_actions=2)
+    @pytest.mark.parametrize(
+        "c1, c2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)]
+    )
+    def test_bounded_set_constants_must_be_finite_and_positive(self, c1, c2):
+        # a nan passed the old `<= 0` test and made bounding_box (nan, nan)
+        with pytest.raises(DomainError, match="c1 and c2 must be finite and positive"):
+            BoundedSetParams(c1=c1, c2=c2, model=BehaviorModel.opt())
 
 
 class TestOperators:
@@ -319,16 +310,19 @@ class TestBoundingBox:
         assert bounding_box(params, 0.5) == pytest.approx((-4.0, 3.0))
 
 
+def abs_dets(mdp, policy):
+    """(|det T|, |det W|) of the policy's t_matrix and w_matrix."""
+    return abs(np.linalg.det(t_matrix(mdp, policy))), abs(np.linalg.det(w_matrix(mdp, policy)))
+
+
 class TestTMatrix:
     def test_one_state_two_actions(self):
-        mdp = one_state_mdp(0.9)
-        det_t, det_w = t_matrix_determinant_check(mdp, det_policy([0], 2))
+        det_t, det_w = abs_dets(one_state_mdp(0.9), det_policy([0], 2))
         assert det_t == pytest.approx(0.1)
         assert det_w == pytest.approx(0.1)
 
     def test_zero_discount_identity(self, rng):
-        mdp = random_mdp(2, 2, 0.0, rng)
-        det_t, det_w = t_matrix_determinant_check(mdp, det_policy([1, 0], 2))
+        det_t, det_w = abs_dets(random_mdp(2, 2, 0.0, rng), det_policy([1, 0], 2))
         assert det_t == pytest.approx(1.0)
         assert det_w == pytest.approx(1.0)
 
@@ -351,11 +345,9 @@ class TestTMatrix:
             gamma = rng.uniform(0.0, 0.95)
             mdp = random_mdp(2, 2, gamma, rng)
             policy = det_policy(rng.integers(2, size=2), 2)
-            det_t, det_w = t_matrix_determinant_check(mdp, policy)
+            det_t, det_w = abs_dets(mdp, policy)
             assert det_t == pytest.approx(det_w, abs=1e-9)
 
     def test_determinant_matches_w_matrix(self, rng):
-        mdp = random_mdp(3, 2, 0.8, rng)
-        policy = det_policy([1, 0, 1], 2)
-        _, det_w = t_matrix_determinant_check(mdp, policy)
-        assert det_w == pytest.approx(abs(np.linalg.det(w_matrix(mdp, policy))))
+        det_t, det_w = abs_dets(random_mdp(3, 2, 0.8, rng), det_policy([1, 0, 1], 2))
+        assert det_t == pytest.approx(det_w)

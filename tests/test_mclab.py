@@ -40,48 +40,33 @@ from conftest import det_policy, one_state_mdp
 
 class TestSegmentVolume:
     def test_balanced_policy(self):
-        mdp = one_state_mdp(0.7)
-        length = segment_volume_1d(mdp, PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0)
+        length = segment_volume_1d(PolicyTable([[0.5, 0.5]]), BehaviorModel.mce(1.0), 1.0)
         assert length == pytest.approx(2.0, abs=1e-12)
 
     def test_one_third_policy(self):
-        mdp = one_state_mdp(0.7)
-        length = segment_volume_1d(
-            mdp, PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0
-        )
+        length = segment_volume_1d(PolicyTable([[1.0 / 3.0, 2.0 / 3.0]]), BehaviorModel.mce(1.0), 1.0)
         assert length == pytest.approx(2.0 - np.log(2.0), abs=1e-12)
 
     def test_extreme_policy_exits_box(self):
-        mdp = one_state_mdp(0.7)
-        length = segment_volume_1d(
-            mdp, PolicyTable([[1.0 - 1e-12, 1e-12]]), BehaviorModel.mce(1.0), 1.0
-        )
+        length = segment_volume_1d(PolicyTable([[1.0 - 1e-12, 1e-12]]), BehaviorModel.mce(1.0), 1.0)
         assert length == 0.0
 
     def test_birl_matches_mce_on_this_instance(self):
-        mdp = one_state_mdp(0.7)
         policy = PolicyTable([[0.3, 0.7]])
-        a = segment_volume_1d(mdp, policy, BehaviorModel.mce(1.0), 1.0)
-        b = segment_volume_1d(mdp, policy, BehaviorModel.birl(1.0), 1.0)
+        a = segment_volume_1d(policy, BehaviorModel.mce(1.0), 1.0)
+        b = segment_volume_1d(policy, BehaviorModel.birl(1.0), 1.0)
         assert a == pytest.approx(b)
 
     def test_policy_of_another_size_is_a_domain_error(self):
-        # two rows for the one-state MDP would be read as its first row alone
+        # two rows would be read as the one state's row alone
         with pytest.raises(DomainError, match=r"policy has shape \(2, 2\), expected \(1, 2\)"):
-            segment_volume_1d(
-                one_state_mdp(0.5), PolicyTable(np.full((2, 2), 0.5)), BehaviorModel.mce(1.0), 1.0
-            )
+            segment_volume_1d(PolicyTable(np.full((2, 2), 0.5)), BehaviorModel.mce(1.0), 1.0)
 
-    def test_rejects_wrong_shape_and_model(self, rng):
+    def test_rejects_wrong_shape_and_model(self):
+        with pytest.raises(DomainError, match=r"policy has shape \(1, 3\), expected \(1, 2\)"):
+            segment_volume_1d(PolicyTable(np.full((1, 3), 1.0 / 3.0)), BehaviorModel.mce(1.0), 1.0)
         with pytest.raises(DomainError):
-            segment_volume_1d(
-                random_mdp(2, 2, 0.5, rng), PolicyTable(np.full((2, 2), 0.5)),
-                BehaviorModel.mce(1.0), 1.0,
-            )
-        with pytest.raises(DomainError):
-            segment_volume_1d(
-                one_state_mdp(0.5), PolicyTable([[0.5, 0.5]]), BehaviorModel.opt(), 1.0
-            )
+            segment_volume_1d(PolicyTable([[0.5, 0.5]]), BehaviorModel.opt(), 1.0)
 
 
 def _rewards_near_policy(mdp, actions, rng, n, v_halfwidth, gap_range):
@@ -312,6 +297,23 @@ def test_every_oracle_rejects_no_samples(rng):
             oracle(0)
 
 
+@pytest.mark.parametrize("oracle", ["volume_fraction", "centroid_opt", "centroid_prior"])
+@pytest.mark.parametrize("model", [BehaviorModel.mce(1.0), BehaviorModel.birl(1.0)])
+def test_bounded_oracles_reject_non_opt_params(rng, oracle, model):
+    # membership is tested against the OPT bounded set only, so MCE or BIRL
+    # params would be sampled as OPT ones without a word
+    mdp = random_mdp(2, 2, 0.5, rng)
+    params = BoundedSetParams(c1=1.0, c2=1.0, model=model)
+    policy = det_policy([0, 1], 2)
+    calls = {
+        "volume_fraction": lambda: mc_volume_fraction(mdp, policy, BehaviorModel.opt(), (-1.0, 1.0), 10, 0, params),
+        "centroid_opt": lambda: mc_centroid_opt(mdp, policy, frozenset({0}), params, 10, 0),
+        "centroid_prior": lambda: mc_centroid_prior(mdp, params, 10, 0),
+    }
+    with pytest.raises(DomainError, match=f"take OPT params, not {model.kind.upper()}"):
+        calls[oracle]()
+
+
 class TestBlockDraws:
     """Drawing and testing each chunk in BLOCK-sized pieces changes no membership."""
 
@@ -470,9 +472,7 @@ class TestBoundedVolumes:
         pi_min = 1.0 / 3.0
         policies = (PolicyTable([[0.5, 0.5]]), PolicyTable([[pi_min, 1 - pi_min]]))
         model = BehaviorModel.mce(1.0)
-        good = BoundedSetParams(
-            c1=c1, c2=np.log(1.0 / pi_min) + 1e-6, model=model, pi_min=pi_min
-        )
+        good = BoundedSetParams(c1=c1, c2=np.log(1.0 / pi_min) + 1e-6, model=model)
         for policy in policies:
             eta = eta_mce(policy, 1.0)
             for v in np.linspace(-c1, c1, 9):

@@ -7,7 +7,7 @@ from rewardcentroids import mdp as mdp_module
 from rewardcentroids.centroids import CentroidRequest
 from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.estimators import exact_estimate
-from rewardcentroids.geometry import BehaviorModel, is_feasible
+from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
     OccupancyMeasure,
@@ -20,7 +20,6 @@ from rewardcentroids.mdp import (
     occupancy_measure,
     policy_evaluation,
     random_mdp,
-    random_policy,
     reachable_support,
     soft_value_iteration,
     support_mask,
@@ -29,7 +28,7 @@ from rewardcentroids.mdp import (
 )
 from rewardcentroids.planning import bc_policy, best_case_reward, plan_unconstrained
 
-from conftest import det_policy, enumerate_optimal_values, one_state_mdp, soft_values_by_sweeps
+from conftest import det_policy, enumerate_optimal_values, one_state_mdp, random_policy, soft_values_by_sweeps
 
 
 class TestTypes:
@@ -372,7 +371,7 @@ class TestPolicies:
 
 # Every reader of a support set, called on a 3-state, 2-action instance.
 SUPPORT_READERS = {
-    "CentroidRequest": lambda mdp, expert, support: CentroidRequest(expert, support, BehaviorModel.opt()),
+    "CentroidRequest": lambda mdp, expert, support: CentroidRequest(expert, support, OPT),
     "is_feasible": lambda mdp, expert, support: is_feasible(
         mdp, expert, support, RewardTable(np.zeros((3, 2))), BehaviorModel.opt()
     ),

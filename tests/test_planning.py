@@ -7,7 +7,7 @@ import pytest
 from rewardcentroids import planning
 from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
-from rewardcentroids.geometry import BehaviorModel, is_feasible
+from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible
 from rewardcentroids.gridworld import NUM_GRID_ACTIONS, run_scenario
 from rewardcentroids.lp import LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
@@ -18,7 +18,6 @@ from rewardcentroids.mdp import (
     occupancy_measure,
     policy_evaluation,
     random_mdp,
-    random_policy,
     value_iteration,
 )
 from rewardcentroids.planning import (
@@ -32,7 +31,7 @@ from rewardcentroids.planning import (
     suboptimality_bound,
 )
 
-from conftest import det_policy, one_state_mdp, solve_permuted
+from conftest import det_policy, one_state_mdp, random_policy, solve_permuted
 
 ROOT = Path(__file__).resolve().parent.parent
 # The scenarios that solve an occupancy LP: six MIMIC programs, then two
@@ -93,7 +92,7 @@ class TestUnconstrained:
         expert = det_policy(rng.integers(3, size=4), 3)
         req = CentroidRequest(
             expert=expert, support=frozenset(range(4)),
-            model=BehaviorModel.opt(),
+            kind=OPT,
         )
         planned = plan_unconstrained(mdp, centroid(req))
         assert np.array_equal(planned.actions(), expert.actions())
