@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import BIRL, MCE, OPT, check_expert, log_policy
+from .geometry import BIRL, MCE, OPT, check_expert, check_kind, log_policy
 from .mdp import PolicyTable, RewardTable, support_mask
 
 
@@ -30,9 +30,7 @@ class CentroidRequest:
     kind: str
 
     def __post_init__(self):
-        kind = self.kind
-        if kind not in (OPT, MCE, BIRL):
-            raise DomainError(f"unknown behavior model kind {kind!r}")
+        kind = check_kind(self.kind)
         on = support_mask(self.support, self.num_states)
         object.__setattr__(self, "support", frozenset(np.flatnonzero(on).tolist()))
         if kind != OPT and not on.all():
@@ -96,8 +94,8 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
         raise DomainError(
             f"q must hold {len(extensions)} extension weights, got shape {q.shape}"
         )
-    if np.any(q < 0) or q.sum() <= 0:
-        raise DomainError("q must be nonnegative with positive sum")
+    if not (np.all(q >= 0) and 0 < q.sum() < np.inf):  # NaN fails both
+        raise DomainError("q must be finite and nonnegative with positive sum")
     values = centroid(req).values.copy()
     total = q.sum()
     for j, s in enumerate(off):

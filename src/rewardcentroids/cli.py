@@ -75,8 +75,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.n < 1 or args.h < 1:
         raise DomainError("--n and --h must be >= 1")
-    if not 0 <= args.seed < 2**128:
-        raise DomainError("--seed must lie in [0, 2**128)")
     mdp = ser.load_mdp(args.mdp)
     policy = ser.load_policy(args.policy)
     with _about(args.mdp, args.policy):
@@ -292,6 +290,8 @@ def run_geometry_check(check: str, n: int, seed: int) -> dict:
 
 
 def _cmd_geometry(args) -> int:
+    if args.n < 1:
+        raise DomainError("--n must be >= 1")
     report = run_geometry_check(args.check, args.n, args.seed)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
@@ -408,6 +408,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2**128:  # the --seed of simulate and geometry
+            raise DomainError("--seed must lie in [0, 2**128)")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .mdp import (
     TabularMdp,
     ValueFunctions,
     boltzmann_policy,
+    check_positive,
     check_table,
     freeze_field,
     greedy_policy,
@@ -35,6 +36,13 @@ MCE = "mce"
 BIRL = "birl"
 
 
+def check_kind(kind) -> str:
+    """kind, if it names a behavior model; DomainError otherwise."""
+    if kind not in (OPT, MCE, BIRL):
+        raise DomainError(f"unknown behavior model {kind!r}; accepted: {[OPT, MCE, BIRL]}")
+    return kind
+
+
 @dataclass(frozen=True)
 class BehaviorModel:
     """The model's kind and coefficient: none for OPT, lam for MCE, beta for BIRL."""
@@ -43,12 +51,10 @@ class BehaviorModel:
     coefficient: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (OPT, MCE, BIRL):
-            raise DomainError(f"unknown behavior model kind {self.kind!r}")
-        if self.kind == OPT and self.coefficient is not None:
+        if check_kind(self.kind) != OPT:
+            check_positive(self.coefficient, "lam" if self.kind == MCE else "beta")
+        elif self.coefficient is not None:
             raise DomainError("OPT carries no coefficient")
-        if self.kind != OPT and (self.coefficient is None or self.coefficient <= 0):
-            raise DomainError("MCE requires lam > 0" if self.kind == MCE else "BIRL requires beta > 0")
 
     @classmethod
     def opt(cls) -> "BehaviorModel":
@@ -78,8 +84,8 @@ class BoundedSetParams:
     model: BehaviorModel
 
     def __post_init__(self):
-        if not (np.isfinite(self.c1) and np.isfinite(self.c2) and self.c1 > 0 and self.c2 > 0):
-            raise DomainError("c1 and c2 must be finite and positive")
+        check_positive(self.c1, "c1")
+        check_positive(self.c2, "c2")
 
 
 def default_bounded_params(model: BehaviorModel, gamma: float, num_actions: int) -> BoundedSetParams:
@@ -162,16 +168,14 @@ def log_policy(probs: np.ndarray, kind: str) -> np.ndarray:
 
 def eta_mce(policy: PolicyTable, lam: float) -> RewardTable:
     """The soft-advantage term lam * log pi(a|s)."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    check_positive(lam, "lam")
     check_expert(policy, slice(None), MCE, "eta_mce's policy")
     return RewardTable(lam * log_policy(policy.probs, MCE))
 
 
 def eta_birl(policy: PolicyTable, beta: float) -> RewardTable:
     """The hard-advantage term beta * log(pi(a|s) / max_a' pi(a'|s))."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    check_positive(beta, "beta")
     check_expert(policy, slice(None), BIRL, "eta_birl's policy")
     return RewardTable(beta * log_policy(policy.probs, BIRL))
 
@@ -197,8 +201,7 @@ def is_feasible(
     MCE: the soft-optimal policy matches the expert (entrywise, within tol).
     BIRL: the Boltzmann policy of the optimal Q matches the expert.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    check_positive(tol, "tol")
     check_table(mdp, expert.probs, "expert")
     on = support_mask(support, mdp.num_states)
     if not on.any():
@@ -220,6 +223,7 @@ def is_in_bounded_set(
     (value bound scaled by k_pi); MCE and BIRL bound the soft/hard optimal
     value and advantage directly.
     """
+    check_positive(tol, "tol")
     opt = _optimum(mdp, r, params.model)
     c1_bound = params.c1 * (k_pi(mdp, greedy_policy(opt)) if params.model.kind == OPT else 1.0)
     return bool(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, exact_estimate, simulate_expert
-from .geometry import BIRL, MCE, OPT
+from .geometry import check_kind
 from .mdp import (
     OccupancyMeasure,
     PolicyTable,
@@ -174,9 +174,9 @@ def _scenario_from_dict(doc: dict, base_dir: Path) -> _Scenario:
     planner, model = doc.get("planner", "centroid"), doc.get("model")
     if planner not in PLANNERS:
         raise DomainError(f"unknown planner {planner!r}; accepted: {list(PLANNERS)}")
-    if model is not None and model not in (OPT, MCE, BIRL):
-        raise DomainError(f"unknown behavior model {model!r}; accepted: {[OPT, MCE, BIRL]}")
-    if planner == "centroid" and model is None:
+    if model is not None:
+        check_kind(model)
+    elif planner == "centroid":
         raise DomainError("centroid planning needs a behavior model")
     return _Scenario(
         source=source,

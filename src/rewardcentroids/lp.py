@@ -62,8 +62,6 @@ class LinearProgram:
                           ("ub_lhs", au), ("ub_rhs", bu)):
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} contains non-finite entries")
-        for name, arr in (("objective", c), ("eq_lhs", ae), ("eq_rhs", be),
-                          ("ub_lhs", au), ("ub_rhs", bu)):
             object.__setattr__(self, name, arr)
 
     @property

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, check_expert, shaping
-from .mdp import PolicyTable, RewardTable, TabularMdp, check_table, k_pi, philox, support_mask, w_matrix
+from .mdp import (PolicyTable, RewardTable, TabularMdp, check_positive, check_table, k_pi, philox,
+                  support_mask, w_matrix)
 
 CHUNK = 1 << 17
 BLOCK = 1 << 14  # samples drawn and tested at once within a chunk
@@ -208,9 +209,7 @@ def mc_volume_fraction(
     """
     if model.kind != OPT:
         raise DomainError("volume fractions are defined for the OPT model only")
-    lo, hi = box
-    if not lo < hi:
-        raise DomainError("box must be a nonempty interval")
+    check_positive(box[1] - box[0], "the box width hi - lo")
     actions = check_expert(policy, slice(None), OPT, "a volume fraction's policy")
     check_table(mdp, policy.probs, "policy")
     if params is None:
@@ -233,12 +232,10 @@ def segment_volume_1d(policy: PolicyTable, model: BehaviorModel, box_halfwidth: 
         raise DomainError(f"policy has shape {policy.probs.shape}, expected (1, 2)")
     if model.kind == OPT:
         raise DomainError("segment volume applies to MCE/BIRL only")
-    if box_halfwidth <= 0:
-        raise DomainError("box_halfwidth must be positive")
+    b = check_positive(box_halfwidth, "box_halfwidth")
     check_expert(policy, slice(None), model.kind, "a segment volume's policy")
     p = policy.probs[0]
     shift = model.coefficient * float(np.log(p[0]) - np.log(p[1]))
-    b = box_halfwidth
     length = min(b, b - shift) - max(-b, -b - shift)
     return max(0.0, float(length))
 
@@ -284,8 +281,7 @@ def mc_centroid_manifold(
     averages r = V(s) - gamma E[V(s')|s,a] + eta(s,a) with V uniform in
     [-c1, +c1]^S; linearity makes eta the exact mean.
     """
-    if c1 <= 0:
-        raise DomainError("c1 must be positive")
+    check_positive(c1, "c1")
     check_table(mdp, eta.values, "eta")
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -317,8 +313,7 @@ def _bias_ratio_instances(gamma: float) -> tuple[TabularMdp, TabularMdp]:
 
 def new_env_bias_ratio_closed_form(c2: float) -> float:
     """Limit value of the cross-environment ratio as the discounts approach 1."""
-    if c2 <= 0:
-        raise DomainError("c2 must be positive")
+    check_positive(c2, "c2")
     if c2 >= 2.0:
         return 1.0 / (3.0 * c2)
     return c2 * c2 / 24.0 - c2 / 4.0 + 0.5
@@ -334,8 +329,7 @@ def new_env_bias_ratio(c2: float, n: int, seed: int) -> McEstimate:
     is new_env_bias_ratio_closed_form(c2); a ratio different from 1/2 is the
     bias being demonstrated.
     """
-    if c2 <= 0:
-        raise DomainError("c2 must be positive")
+    check_positive(c2, "c2")
     src, dst = _bias_ratio_instances(BIAS_RATIO_GAMMA)
     sample_policy = PolicyTable.from_actions([1, 0], 2)  # jump-flavored action in s0, loop in s1
     target = _PolicyEvaluator(dst, np.array([0, 0]))

@@ -11,6 +11,7 @@ normalizer derived from det(I - gamma * P_pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -26,6 +27,13 @@ def philox(seed: int) -> np.random.Philox:
     if not 0 <= seed < 2**128:
         raise DomainError("seed must lie in [0, 2**128)")
     return np.random.Philox(key=seed)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float; DomainError, naming it, unless it is a finite positive number."""
+    if not (isinstance(value, Real) and 0 < value < np.inf):  # NaN fails both comparisons
+        raise DomainError(f"{name} must be finite and positive, not {value!r}")
+    return float(value)
 
 
 def freeze_field(obj, field: str, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -219,8 +227,7 @@ def soft_value_iteration(mdp: TabularMdp, r: RewardTable, lam: float) -> ValueFu
     v by no more than the solve's rounding level, 4 S eps (1 + max |v|).
     The soft-optimal policy is boltzmann_policy(q, lam).
     """
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+    check_positive(lam, "lam")
     check_table(mdp, r.values, "reward")
     stop = 4.0 * mdp.num_states * np.finfo(float).eps
     log_pi, _ = _log_softmax_rows(r.values / lam)
@@ -292,8 +299,7 @@ def k_pi(mdp: TabularMdp, policy: PolicyTable) -> float:
 
 def boltzmann_policy(q: np.ndarray, temperature: float) -> PolicyTable:
     """Row-wise softmax of q / temperature, overflow-safe."""
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
+    check_positive(temperature, "temperature")
     log_pi, _ = _log_softmax_rows(np.asarray(q, dtype=float) / temperature)
     return PolicyTable(np.exp(log_pi))
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("kind", ["OPT", "maxent", None])
     def test_unknown_kind_is_a_domain_error(self, kind):
-        with pytest.raises(DomainError, match="unknown behavior model kind"):
+        with pytest.raises(DomainError, match=re.escape(f"unknown behavior model {kind!r}; accepted")):
             CentroidRequest(expert=det_policy([0, 1], 2), support=frozenset({0, 1}), kind=kind)
 
 
@@ -181,12 +182,14 @@ class TestWeightedCentroid:
         vals = weighted_centroid_opt(req, np.array([0.5, 0.5])).values
         assert set(np.round(vals.ravel(), 12)) <= {0.0, 0.5, 1.0}
 
-    def test_rejects_bad_weights(self):
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
+    @pytest.mark.parametrize(
+        "q", [np.zeros(2), np.ones(3), [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [-1.0, 2.0]]
+    )
+    def test_rejects_bad_weights(self, q):
         req = opt_request(det_policy([0, 0], 2), {0})
-        with pytest.raises(DomainError):
-            weighted_centroid_opt(req, np.zeros(2))
-        with pytest.raises(DomainError):
-            weighted_centroid_opt(req, np.ones(3))
+        with pytest.raises(DomainError, match="^q must"):
+            weighted_centroid_opt(req, np.array(q))
 
     def test_against_weighted_rejection_oracle(self):
         # Weighted mean over the bounded OPT set, restricted to rewards whose

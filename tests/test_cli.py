@@ -613,6 +613,8 @@ def test_grid_over_the_size_limit_is_an_error_line(tmp_path, capsys):
 ESTIMATE_MCE = ["estimate", "--model", "mce", "--data", "{dir}/t.jsonl", "--num-states", "2", "--num-actions", "2"]
 SIMULATE_CHAIN = ["simulate", "--mdp", "{dir}/mdp.json", "--policy", "{dir}/expert.json",
                   "--n", "2", "--h", "2", "--out", "{dir}/t2.jsonl"]
+GEOMETRY_PROP1 = ["geometry", "--check", "prop1", "--n", "10", "--out", "{dir}/t2.jsonl"]
+GEOMETRY_PROP2 = ["geometry", "--check", "prop2", "--out", "{dir}/t2.jsonl"]  # reads neither flag
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -622,7 +624,12 @@ SIMULATE_CHAIN = ["simulate", "--mdp", "{dir}/mdp.json", "--policy", "{dir}/expe
     (SIMULATE_CHAIN, "--n", "0", "--n and --h must be >= 1"),
     (SIMULATE_CHAIN, "--h", "0", "--n and --h must be >= 1"),
     (SIMULATE_CHAIN, "--seed", "-1", "--seed must lie in [0, 2**128)"),
-], ids=["pi-min-prime", "num-states", "num-actions", "n", "h", "seed"])
+    (GEOMETRY_PROP1, "--n", "0", "--n must be >= 1"),
+    (GEOMETRY_PROP1, "--seed", "-1", "--seed must lie in [0, 2**128)"),
+    (GEOMETRY_PROP2, "--n", "0", "--n must be >= 1"),
+    (GEOMETRY_PROP2, "--seed", "-1", "--seed must lie in [0, 2**128)"),
+], ids=["pi-min-prime", "num-states", "num-actions", "n", "h", "seed",
+        "geometry-prop1-n", "geometry-prop1-seed", "geometry-prop2-n", "geometry-prop2-seed"])
 def test_flag_errors_name_the_flag_not_an_input_file(chain_files, capsys, command, flag, value, message):
     (chain_files / "t.jsonl").write_text('{"states": [0, 1], "actions": [1, 0]}\n')
     # the flag given last wins

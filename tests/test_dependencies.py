@@ -1,5 +1,6 @@
-"""The package's runtime needs numpy and the Python standard library only, and the
-benchmark's hooks name functions the package has."""
+"""The package's runtime needs numpy and the Python standard library only, the
+benchmark's hooks name functions the package has, and no positivity test is
+written by hand."""
 
 import ast
 import importlib
@@ -42,3 +43,21 @@ def test_benchmark_hooks_name_package_functions(monkeypatch):
         if not callable(getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), name, None))
     ]
     assert hooks and missing == []
+
+
+def test_no_hand_written_positivity_test():
+    # `if x <= 0` lets NaN and +inf through; mdp.check_positive rejects both
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            test = node.test if isinstance(node, ast.If) else None
+            if (
+                isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name)
+                and len(test.ops) == 1
+                and isinstance(test.ops[0], (ast.LtE, ast.Lt))
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value == 0
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(test)}")
+    assert found == []

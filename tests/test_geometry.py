@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from rewardcentroids import mclab
 from rewardcentroids.errors import DomainError
 from rewardcentroids.geometry import (
     AdvantageGap,
@@ -22,6 +25,8 @@ from rewardcentroids.geometry import (
 from rewardcentroids.mdp import (
     PolicyTable,
     RewardTable,
+    boltzmann_policy,
+    check_positive,
     random_mdp,
     soft_value_iteration,
     value_iteration,
@@ -42,17 +47,69 @@ class TestBehaviorModel:
         with pytest.raises(DomainError):
             BehaviorModel("opt", coefficient=1.0)
 
+    @pytest.mark.parametrize("kind", ["maxent", "OPT", None])
+    def test_unknown_kind_names_the_accepted_ones(self, kind):
+        message = f"unknown behavior model {kind!r}; accepted: ['opt', 'mce', 'birl']"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            BehaviorModel(kind)
+
     def test_mce_requires_positive_lambda(self):
         with pytest.raises(DomainError):
             BehaviorModel.mce(0.0)
 
     @pytest.mark.parametrize(
-        "c1, c2", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -1.0)]
+        "c1, c2, bad",
+        [(np.nan, 1.0, "c1"), (1.0, np.nan, "c2"), (np.inf, 1.0, "c1"), (1.0, np.inf, "c2"),
+         (0.0, 1.0, "c1"), (1.0, -1.0, "c2")],
     )
-    def test_bounded_set_constants_must_be_finite_and_positive(self, c1, c2):
+    def test_bounded_set_constants_must_be_finite_and_positive(self, c1, c2, bad):
         # a nan passed the old `<= 0` test and made bounding_box (nan, nan)
-        with pytest.raises(DomainError, match="c1 and c2 must be finite and positive"):
+        with pytest.raises(DomainError, match=f"^{bad} must be finite and positive, not "):
             BoundedSetParams(c1=c1, c2=c2, model=BehaviorModel.opt())
+
+
+ONE_STATE = one_state_mdp()
+HALF = PolicyTable([[0.5, 0.5]])
+ZERO = RewardTable(np.zeros((1, 2)))
+UNIT_OPT = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+
+# every parameter that must be a finite positive number: (name, call taking its value)
+POSITIVE_SITES = {
+    "BehaviorModel.mce": ("lam", BehaviorModel.mce),
+    "BehaviorModel.birl": ("beta", BehaviorModel.birl),
+    "BoundedSetParams.c1": ("c1", lambda v: BoundedSetParams(v, 1.0, BehaviorModel.opt())),
+    "BoundedSetParams.c2": ("c2", lambda v: BoundedSetParams(1.0, v, BehaviorModel.opt())),
+    "soft_value_iteration": ("lam", lambda v: soft_value_iteration(ONE_STATE, ZERO, v)),
+    "boltzmann_policy": ("temperature", lambda v: boltzmann_policy(np.zeros((1, 2)), v)),
+    "eta_mce": ("lam", lambda v: eta_mce(HALF, v)),
+    "eta_birl": ("beta", lambda v: eta_birl(HALF, v)),
+    "is_feasible": ("tol", lambda v: is_feasible(ONE_STATE, HALF, {0}, ZERO, BehaviorModel.mce(1.0), v)),
+    "is_in_bounded_set": ("tol", lambda v: is_in_bounded_set(ONE_STATE, ZERO, UNIT_OPT, v)),
+    "segment_volume_1d": ("box_halfwidth", lambda v: mclab.segment_volume_1d(HALF, BehaviorModel.mce(1.0), v)),
+    "mc_centroid_manifold": ("c1", lambda v: mclab.mc_centroid_manifold(ONE_STATE, ZERO, v, 10, 0)),
+    "new_env_bias_ratio": ("c2", lambda v: mclab.new_env_bias_ratio(v, 10, 0)),
+    "new_env_bias_ratio_closed_form": ("c2", mclab.new_env_bias_ratio_closed_form),
+    "mc_volume_fraction": (
+        "the box width hi - lo",
+        lambda v: mclab.mc_volume_fraction(ONE_STATE, det_policy([0], 2), BehaviorModel.opt(), (0.0, v), 10, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+def test_positive_parameters_must_be_finite_and_positive(site, value):
+    # `x <= 0` let NaN through at these sites, and +inf through most of them
+    name, call = POSITIVE_SITES[site]
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be finite and positive, not {value!r}$"):
+        call(value)
+
+
+def test_check_positive_takes_finite_positive_numbers_alone():
+    assert check_positive(2, "x") == 2.0 and type(check_positive(np.float32(0.5), "x")) is float
+    for value in (None, "1.0", np.array([1.0])):
+        with pytest.raises(DomainError, match="^x must be finite and positive, not "):
+            check_positive(value, "x")
 
 
 class TestOperators:
