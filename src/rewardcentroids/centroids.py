@@ -94,6 +94,7 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
         raise DomainError(
             f"q must hold {len(extensions)} extension weights, got shape {q.shape}"
         )
+    q = np.ldexp(q, -np.frexp(q.max())[1])  # a power of two: exact, and the sum cannot overflow
     if not (np.all(q >= 0) and 0 < q.sum() < np.inf):  # NaN fails both
         raise DomainError("q must be finite and nonnegative with positive sum")
     values = centroid(req).values.copy()

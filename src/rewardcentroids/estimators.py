@@ -240,7 +240,7 @@ def estimate(
         return estimate_mce(data, dims, pi_min_prime)
     if kind == BIRL:
         return estimate_birl(data, dims, pi_min_prime)
-    raise DomainError(f"unknown behavior model kind {kind!r}")
+    check_kind(kind)  # raises: no behavior model has this kind
 
 
 def exact_estimate(

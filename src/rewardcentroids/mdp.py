@@ -166,8 +166,9 @@ def support_mask(support, num_states: int) -> np.ndarray:
 
 
 def expected_next_values(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
-    """E[v(s') | s, a] as an S x A table."""
-    return mdp.transitions @ v
+    """E[v(s') | s, a] as an S x A table: one product with the (S*A) x S view of P."""
+    S, A = mdp.num_states, mdp.num_actions
+    return (mdp.transitions.reshape(S * A, S) @ v).reshape(S, A)
 
 
 def _greedy_actions(q: np.ndarray, current: np.ndarray | None = None) -> np.ndarray:
@@ -182,18 +183,30 @@ def _greedy_actions(q: np.ndarray, current: np.ndarray | None = None) -> np.ndar
 
 
 def value_iteration(mdp: TabularMdp, r: RewardTable) -> ValueFunctions:
-    """Exact Bellman optimum by Howard's policy iteration (Puterman 1994, 6.4).
+    """Exact Bellman optimum by modified policy iteration (Puterman & Shin 1978;
+    Puterman 1994, 6.5).
 
-    From the greedy actions of r: solve (I - gamma P_pi) v = r_pi, take
-    q = r + gamma P v and improve greedily until no action changes.  Returns
-    that q and v = max_a q, so the advantage has a zero row-wise maximum.
+    From q = r, Bellman sweeps q <- r + gamma P max_a q run until the row-wise
+    argmax of q stops changing, for at most S sweeps.  Howard's steps then
+    start from the greedy actions of that q: solve (I - gamma P_pi) v = r_pi,
+    take q = r + gamma P v and improve greedily until no action changes, so
+    the last exact evaluation certifies the optimum.  Returns that q and
+    v = max_a q, so the advantage has a zero row-wise maximum.
     """
     check_table(mdp, r.values, "reward")
-    S = mdp.num_states
+    S, A = mdp.num_states, mdp.num_actions
     rows = np.arange(S)
-    actions = _greedy_actions(r.values)
+    q = r.values
+    best = q.argmax(axis=1)
+    for _ in range(S):
+        q = r.values + mdp.discount * expected_next_values(mdp, q[rows, best])  # max_a q
+        best, previous = q.argmax(axis=1), best
+        if (best == previous).all():
+            break
+    actions = _greedy_actions(q)
+    eye, flat = np.eye(S), mdp.transitions.reshape(S * A, S)
     for _ in range(MAX_POLICY_ITERATIONS):
-        w = np.eye(S) - mdp.discount * mdp.transitions[rows, actions]
+        w = eye - mdp.discount * flat[rows * A + actions]
         q = r.values + mdp.discount * expected_next_values(
             mdp, np.linalg.solve(w, r.values[rows, actions])
         )

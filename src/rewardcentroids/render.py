@@ -20,31 +20,35 @@ BLOCKED_FILL = "#8b5a2b"
 INITIAL_STROKE = "#cc0000"
 GLYPH_MIN_PROB = 1e-6
 
+# One line per cell and per glyph; each layer is one `%` on its templates.
+CELL_RECT = (
+    f'<rect x="%d" y="%d" width="{CELL}" height="{CELL}" '
+    'fill="#%02x%02x%02x" stroke="#c8c8c8" stroke-width="1"/>\n'
+)
+DOT = '<circle cx="%.2f" cy="%.2f" r="%.2f" fill="#202020"/>\n'
+ARROW = (
+    '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#202020" stroke-width="%.2f"/>'
+    '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="#202020"/>\n'
+)
 
-def _cell_fill(intensity: float) -> str:
-    r = round(255 + (OCC_COLOR[0] - 255) * intensity)
-    g = round(255 + (OCC_COLOR[1] - 255) * intensity)
-    b = round(255 + (OCC_COLOR[2] - 255) * intensity)
-    return f"#{r:02x}{g:02x}{b:02x}"
 
-
-def _glyph(cx: float, cy: float, action: int, prob: float) -> str:
-    """An arrow scaled by prob along the action's move; a dot for stay."""
-    dx, dy = MOVES[action]
-    if dx == dy == 0:
-        r = max(1.2, 0.16 * CELL * prob)
-        return f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="#202020"/>'
+def _glyph_layer(cx: np.ndarray, cy: np.ndarray, actions: np.ndarray, prob: np.ndarray) -> str:
+    """Per (cell centre, action, prob): an arrow scaled by prob along the
+    action's move, or a dot for stay."""
+    dx, dy = np.array(MOVES).T[:, actions]
+    dot = (dx == 0) & (dy == 0)
     half = 0.38 * CELL * prob
-    head = max(2.0, 0.22 * CELL * prob)
+    head = np.maximum(2.0, 0.22 * CELL * prob)
     x1, y1 = cx + dx * half, cy + dy * half
     px, py = -dy, dx  # perpendicular
-    return (
-        f'<line x1="{cx - dx * half:.2f}" y1="{cy - dy * half:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-        f'stroke="#202020" stroke-width="{max(0.8, 2.2 * prob):.2f}"/>'
-        f'<polygon points="{x1 + dx * head:.2f},{y1 + dy * head:.2f} '
-        f"{x1 + px * head * 0.6:.2f},{y1 + py * head * 0.6:.2f} "
-        f'{x1 - px * head * 0.6:.2f},{y1 - py * head * 0.6:.2f}" fill="#202020"/>'
-    )
+    args = np.column_stack([  # a dot's (cx, cy, r) is an arrow's (x0, y0, x1) at dx = dy = 0
+        cx - dx * half, cy - dy * half, np.where(dot, np.maximum(1.2, 0.16 * CELL * prob), x1), y1,
+        np.maximum(0.8, 2.2 * prob), x1 + dx * head, y1 + dy * head,
+        x1 + px * head * 0.6, y1 + py * head * 0.6, x1 - px * head * 0.6, y1 - py * head * 0.6,
+    ])
+    used = np.ones(args.shape, dtype=bool)
+    used[dot, 3:] = False
+    return "".join(DOT if d else ARROW for d in dot.tolist()) % tuple(args[used].tolist())
 
 
 def render_grid_svg(
@@ -70,50 +74,38 @@ def render_grid_svg(
             raise DomainError(
                 f"{what} has shape {table.shape}, not ({S}, {len(MOVES)}) for a {W}x{spec.height} grid"
             )
-    shown = np.ones(S, dtype=bool) if support is None else support_mask(support, S)
+    visible = np.ones(S, dtype=bool) if support is None else support_mask(support, S)
     width_px = W * CELL + 2 * MARGIN
     height_px = spec.height * CELL + 2 * MARGIN
-    blocked = {spec.state_index(x, y) for (x, y) in spec.blocked_cells}
-    shades = None
+    blocked = [spec.state_index(x, y) for (x, y) in spec.blocked_cells]
+    visible[blocked] = False
+    rgb = np.full((S, 3), 255)
     if occupancy is not None:
         marginal = occupancy.state_marginal()
-        top = marginal.max()
-        shades = (marginal / top if top > 0 else marginal).tolist()
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width_px}" height="{height_px}" '
-        f'viewBox="0 0 {width_px} {height_px}">',
-        f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
-    ]
-    for s in range(S):
-        y, x = divmod(s, W)
-        if s in blocked:
-            fill = BLOCKED_FILL
-        elif shades is not None:
-            fill = _cell_fill(shades[s])
-        else:
-            fill = "#ffffff"
-        lines.append(
-            f'<rect x="{MARGIN + x * CELL}" y="{MARGIN + y * CELL}" width="{CELL}" height="{CELL}" '
-            f'fill="{fill}" stroke="#c8c8c8" stroke-width="1"/>'
-        )
+        shade = (marginal / marginal.max())[:, None]
+        rgb = np.rint(255 + (np.array(OCC_COLOR) - 255) * shade).astype(int)
+    rgb[blocked] = tuple(bytes.fromhex(BLOCKED_FILL[1:]))
+    y, x = np.divmod(np.arange(S), W)
+    cells = np.column_stack([MARGIN + x * CELL, MARGIN + y * CELL, rgb])
+    glyphs = ""
     if policy is not None:
-        visible = set(np.flatnonzero(shown).tolist()) - blocked
-        probs = policy.probs.tolist()
-        for s, a in np.argwhere(policy.probs >= GLYPH_MIN_PROB).tolist():
-            if s in visible:
-                y, x = divmod(s, W)
-                lines.append(_glyph(MARGIN + (x + 0.5) * CELL, MARGIN + (y + 0.5) * CELL, a, probs[s][a]))
+        s, a = np.nonzero(policy.probs >= GLYPH_MIN_PROB)
+        s, a = s[visible[s]], a[visible[s]]
+        cx, cy = MARGIN + (x[s] + 0.5) * CELL, MARGIN + (y[s] + 0.5) * CELL
+        glyphs = _glyph_layer(cx, cy, a, policy.probs[s, a])
     ix, iy = spec.initial_cell
-    lines.append(
-        f'<rect x="{MARGIN + ix * CELL + 1}" y="{MARGIN + iy * CELL + 1}" '
-        f'width="{CELL - 2}" height="{CELL - 2}" fill="none" '
-        f'stroke="{INITIAL_STROKE}" stroke-width="2.5"/>'
-    )
-    lines.append("</svg>")
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width_px}" height="{height_px}" '
+        f'viewBox="0 0 {width_px} {height_px}">\n'
+        f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>\n'
+        + CELL_RECT * S % tuple(cells.ravel().tolist())
+        + glyphs
+        + f'<rect x="{MARGIN + ix * CELL + 1}" y="{MARGIN + iy * CELL + 1}" '
+        f'width="{CELL - 2}" height="{CELL - 2}" fill="none" '
+        f'stroke="{INITIAL_STROKE}" stroke-width="2.5"/>\n</svg>\n'
+    )
     return out

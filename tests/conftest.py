@@ -5,7 +5,7 @@ import pytest
 
 from rewardcentroids import lp as lp_module
 from rewardcentroids.lp import LinearProgram, solve
-from rewardcentroids.mdp import PolicyTable, TabularMdp
+from rewardcentroids.mdp import MAX_POLICY_ITERATIONS, PolicyTable, TabularMdp, ValueFunctions, _greedy_actions
 
 
 def enumerate_optimal_values(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
@@ -37,6 +37,40 @@ def soft_values_by_sweeps(
         v = v_new
         if delta <= stop:
             return v
+
+
+def howard_policy_iteration(mdp: TabularMdp, reward: np.ndarray) -> ValueFunctions:
+    """Reference optimum: Howard's policy iteration from the greedy actions of
+    the reward, with no warm-up sweeps, each step an exact evaluation."""
+    S = mdp.num_states
+    rows = np.arange(S)
+    actions = _greedy_actions(reward)
+    for _ in range(MAX_POLICY_ITERATIONS):
+        w = np.eye(S) - mdp.discount * mdp.transitions[rows, actions]
+        q = reward + mdp.discount * (mdp.transitions @ np.linalg.solve(w, reward[rows, actions]))
+        improved = _greedy_actions(q, actions)
+        if np.array_equal(improved, actions):
+            v = q.max(axis=1)
+            return ValueFunctions(v=v, q=q, advantage=q - v[:, None])
+        actions = improved
+    raise AssertionError("reference policy iteration did not stop")
+
+
+def three_state_chain(gamma: float) -> TabularMdp:
+    """Chain 0 -> 1 -> 2: in states 0 and 1 action 0 loops and action 1 moves
+    one state on; state 2 absorbs.  With reward [[1, 0], [0, 0], [5, 5]] at
+    gamma 0.5 the reward of state 2 is two moves from state 0: greedy
+    sweeps settle on looping in state 0 (value 2) before that reward (2.5)
+    reaches it, so policy iteration needs a second step."""
+    p = np.zeros((3, 2, 3))
+    for s in (0, 1):
+        p[s, 0, s] = 1.0
+        p[s, 1, s + 1] = 1.0
+    p[2, :, 2] = 1.0
+    return TabularMdp(3, 2, 0, p, gamma)
+
+
+CHAIN_CAP_REWARD = [[1.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
 
 
 def one_state_mdp(gamma: float = 0.9, num_actions: int = 2) -> TabularMdp:

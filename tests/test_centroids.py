@@ -191,6 +191,12 @@ class TestWeightedCentroid:
         with pytest.raises(DomainError, match="^q must"):
             weighted_centroid_opt(req, np.array(q))
 
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_sum_overflows_give_the_uniform_table(self):
+        req = opt_request(det_policy([0, 0], 2), {0})
+        huge = weighted_centroid_opt(req, np.array([1e308, 1e308])).values
+        assert np.array_equal(huge, weighted_centroid_opt(req, np.array([1.0, 1.0])).values)
+
     def test_against_weighted_rejection_oracle(self):
         # Weighted mean over the bounded OPT set, restricted to rewards whose
         # optimal policy extends the expert, weighting each sample by q of

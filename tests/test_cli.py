@@ -18,6 +18,8 @@ from rewardcentroids.serialization import (
     save_support,
 )
 
+from conftest import CHAIN_CAP_REWARD, three_state_chain
+
 
 @pytest.fixture
 def chain_files(tmp_path):
@@ -89,14 +91,15 @@ def test_uncertified_solution_exit_code(chain_files, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_policy_iteration_cap_exit_code(chain_files, capsys, monkeypatch):
-    # Greedy on r stays in state 0; moving to state 1 is optimal, so policy
-    # iteration needs a second step.
-    save_reward(RewardTable([[1.0, 0.0], [5.0, 5.0]]), chain_files / "r.json")
+def test_policy_iteration_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # The warm-up sweeps stay in state 0; moving on to state 2, two moves
+    # away, is optimal, so policy iteration needs a second step.
+    save_mdp(three_state_chain(0.5), tmp_path / "chain3.json")
+    save_reward(RewardTable(CHAIN_CAP_REWARD), tmp_path / "r.json")
     monkeypatch.setattr(mdp_module, "MAX_POLICY_ITERATIONS", 1)
     code = main([
-        "plan", "--mdp", str(chain_files / "mdp.json"),
-        "--reward", str(chain_files / "r.json"),
+        "plan", "--mdp", str(tmp_path / "chain3.json"),
+        "--reward", str(tmp_path / "r.json"),
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err

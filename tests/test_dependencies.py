@@ -1,12 +1,17 @@
 """The package's runtime needs numpy and the Python standard library only, the
-benchmark's hooks name functions the package has, and no positivity test is
-written by hand."""
+benchmark's hooks name functions the package has and see the calls they
+count, and no positivity test is written by hand."""
 
 import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from rewardcentroids import mdp
+from rewardcentroids.mdp import RewardTable, random_mdp, value_iteration
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rewardcentroids"
 ALLOWED = {"numpy", *sys.stdlib_module_names}
@@ -43,6 +48,19 @@ def test_benchmark_hooks_name_package_functions(monkeypatch):
         if not callable(getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), name, None))
     ]
     assert hooks and missing == []
+
+
+def test_value_iteration_backs_up_through_the_sweep_hook(monkeypatch):
+    # the benchmark counts value-iteration sweeps by wrapping
+    # mdp.expected_next_values, so every call must look it up at call time
+    calls = []
+    original = mdp.expected_next_values
+    monkeypatch.setattr(mdp, "expected_next_values", lambda *args: calls.append(1) or original(*args))
+    rng = np.random.default_rng(5)
+    for num_states, gamma in [(1, 0.0), (1, 0.9), (4, 0.0), (6, 0.5), (6, 0.99)]:
+        before = len(calls)
+        value_iteration(random_mdp(num_states, 3, gamma, rng), RewardTable(rng.normal(size=(num_states, 3))))
+        assert len(calls) > before
 
 
 def test_no_hand_written_positivity_test():

@@ -546,9 +546,9 @@ class TestDispatch:
 
     def test_unknown_kind_is_rejected(self):
         data = TrajectoryDataset(states=[[0]], actions=[[0]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^unknown behavior model 'opt2'; accepted: "):
             estimate(data, (1, 1), "opt2")
-        with pytest.raises(DomainError, match="unknown behavior model 'opt2'; accepted: "):
+        with pytest.raises(DomainError, match="^unknown behavior model 'opt2'; accepted: "):
             exact_estimate(PolicyTable([[1.0]]), {0}, "opt2")
 
     def test_estimators_are_looked_up_at_call_time(self, monkeypatch):

@@ -20,7 +20,16 @@ from rewardcentroids.gridworld import (
     run_scenario,
 )
 from rewardcentroids.mdp import OccupancyMeasure, PolicyTable
-from rewardcentroids.render import GLYPH_MIN_PROB, render_grid_svg
+from rewardcentroids.render import (
+    BLOCKED_FILL,
+    CELL,
+    GLYPH_MIN_PROB,
+    INITIAL_STROKE,
+    MARGIN,
+    MOVES,
+    OCC_COLOR,
+    render_grid_svg,
+)
 from rewardcentroids.serialization import save_policy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +56,124 @@ def loop_transitions(spec: GridworldSpec) -> np.ndarray:
                     nx, ny = x, y
                 p[s, a, spec.state_index(nx, ny)] = 1.0
     return p
+
+
+def _loop_cell_fill(intensity: float) -> str:
+    r = round(255 + (OCC_COLOR[0] - 255) * intensity)
+    g = round(255 + (OCC_COLOR[1] - 255) * intensity)
+    b = round(255 + (OCC_COLOR[2] - 255) * intensity)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _loop_glyph(cx: float, cy: float, action: int, prob: float) -> str:
+    dx, dy = MOVES[action]
+    if dx == dy == 0:
+        r = max(1.2, 0.16 * CELL * prob)
+        return f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="#202020"/>'
+    half = 0.38 * CELL * prob
+    head = max(2.0, 0.22 * CELL * prob)
+    x1, y1 = cx + dx * half, cy + dy * half
+    px, py = -dy, dx
+    return (
+        f'<line x1="{cx - dx * half:.2f}" y1="{cy - dy * half:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+        f'stroke="#202020" stroke-width="{max(0.8, 2.2 * prob):.2f}"/>'
+        f'<polygon points="{x1 + dx * head:.2f},{y1 + dy * head:.2f} '
+        f"{x1 + px * head * 0.6:.2f},{y1 + py * head * 0.6:.2f} "
+        f'{x1 - px * head * 0.6:.2f},{y1 - py * head * 0.6:.2f}" fill="#202020"/>'
+    )
+
+
+def loop_render_svg(occupancy, policy, spec, support=None) -> str:
+    """Reference SVG text: one formatted line per cell and per glyph."""
+    S, W = spec.num_states, spec.width
+    shown = set(range(S)) if support is None else set(support)
+    width_px = W * CELL + 2 * MARGIN
+    height_px = spec.height * CELL + 2 * MARGIN
+    blocked = {spec.state_index(x, y) for (x, y) in spec.blocked_cells}
+    shades = None
+    if occupancy is not None:
+        marginal = occupancy.state_marginal()
+        shades = (marginal / marginal.max()).tolist()
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width_px}" height="{height_px}" '
+        f'viewBox="0 0 {width_px} {height_px}">',
+        f'<rect x="0" y="0" width="{width_px}" height="{height_px}" fill="#ffffff"/>',
+    ]
+    for s in range(S):
+        y, x = divmod(s, W)
+        if s in blocked:
+            fill = BLOCKED_FILL
+        elif shades is not None:
+            fill = _loop_cell_fill(shades[s])
+        else:
+            fill = "#ffffff"
+        lines.append(
+            f'<rect x="{MARGIN + x * CELL}" y="{MARGIN + y * CELL}" width="{CELL}" height="{CELL}" '
+            f'fill="{fill}" stroke="#c8c8c8" stroke-width="1"/>'
+        )
+    if policy is not None:
+        probs = policy.probs.tolist()
+        for s, a in np.argwhere(policy.probs >= GLYPH_MIN_PROB).tolist():
+            if s in shown - blocked:
+                y, x = divmod(s, W)
+                lines.append(_loop_glyph(MARGIN + (x + 0.5) * CELL, MARGIN + (y + 0.5) * CELL, a, probs[s][a]))
+    ix, iy = spec.initial_cell
+    lines.append(
+        f'<rect x="{MARGIN + ix * CELL + 1}" y="{MARGIN + iy * CELL + 1}" '
+        f'width="{CELL - 2}" height="{CELL - 2}" fill="none" '
+        f'stroke="{INITIAL_STROKE}" stroke-width="2.5"/>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# Probabilities whose glyphs land on x.xx5 in decimal: half-lengths 0.095
+# and 0.285 (so x2 = 17.905, 18.285, ...), stroke width 1.375, dot radius 1.205.
+TIE_PROBS = (1 / 128, 3 / 128, 0.625, 241 / 1024)
+
+
+def random_render_inputs(rng: np.random.Generator):
+    """A random grid, occupancy (or None), policy (or None) and support (or None)."""
+    width, height = (int(n) for n in rng.integers(1, 8, size=2))
+    S = width * height
+    initial = (int(rng.integers(width)), int(rng.integers(height)))
+    cells = [(x, y) for y in range(height) for x in range(width) if (x, y) != initial]
+    blocked = [cells[i] for i in np.flatnonzero(rng.random(len(cells)) < 0.15)]
+    spec = GridworldSpec(width, height, initial, 0.5, blocked_cells=blocked)
+    kind = rng.integers(3)  # 0: occupancy alone, 1: policy alone, 2: both
+    occupancy = None
+    if kind != 1 and rng.random() < 0.5:
+        d = rng.random((S, 5)) * (rng.random((S, 1)) < 0.8)
+        d[rng.integers(S), rng.integers(5)] += 1.0
+        occupancy = OccupancyMeasure(d / d.sum())
+    elif kind != 1:  # shades of exactly 1/4 and 1/2: red and blue land on .5 ties
+        d = np.zeros((S, 5))
+        d[np.arange(S), rng.integers(5, size=S)] = rng.choice([0.0, 1.0, 2.0, 4.0], size=S)
+        d[rng.integers(S), rng.integers(5)] = 4.0
+        occupancy = OccupancyMeasure(d / d.sum())
+    policy = None
+    if kind != 0:
+        probs = np.zeros((S, 5))
+        for s in range(S):
+            row = rng.integers(4)
+            if row == 0:  # one-hot, left in every row half the time (negative x in column 0)
+                probs[s, LEFT if rng.random() < 0.5 else rng.integers(5)] = 1.0
+            elif row == 1:
+                probs[s] = rng.dirichlet(np.full(5, 0.3))
+            elif row == 2:  # a tie probability, the rest on another action
+                a, b = rng.choice(5, size=2, replace=False)
+                probs[s, a] = TIE_PROBS[rng.integers(len(TIE_PROBS))]
+                probs[s, b] = 1.0 - probs[s, a]
+            else:  # entries around the glyph threshold
+                probs[s, :4] = GLYPH_MIN_PROB * rng.choice([0.5, 1.0, 2.0], size=4)
+                probs[s, STAY] = 1.0 - probs[s, :4].sum()
+        policy = PolicyTable(probs)
+    support = None
+    if rng.random() < 0.5:
+        support = set(np.flatnonzero(rng.random(S) < 0.6).tolist())
+    return occupancy, policy, spec, support
 
 
 class TestBuild:
@@ -178,6 +305,17 @@ class TestRender:
         text = render_grid_svg(None, PolicyTable(probs), spec, tmp_path / "t.svg").read_text()
         assert text.count("<line") == 1  # LEFT at exactly the threshold; RIGHT just below it is not drawn
         assert text.count("<circle") == 1
+
+    def test_matches_the_loop_reference_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(20241020)
+        negative = 0
+        for i in range(400):
+            occupancy, policy, spec, support = random_render_inputs(rng)
+            path = render_grid_svg(occupancy, policy, spec, tmp_path / f"r{i}.svg", support=support)
+            expected = loop_render_svg(occupancy, policy, spec, support)
+            assert path.read_text() == expected, (i, spec, support)
+            negative += '="-' in expected or " -" in expected
+        assert negative > 10  # left arrows in column 0 reach x < 0
 
     def test_byte_determinism(self, tmp_path):
         spec = small_spec(blocked_cells=((2, 2),))

@@ -8,6 +8,7 @@ from rewardcentroids.centroids import CentroidRequest
 from rewardcentroids.errors import DomainError, SolverError
 from rewardcentroids.estimators import exact_estimate
 from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible
+from rewardcentroids.gridworld import GridworldSpec, build_gridworld
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
     OccupancyMeasure,
@@ -28,7 +29,16 @@ from rewardcentroids.mdp import (
 )
 from rewardcentroids.planning import bc_policy, best_case_reward, plan_unconstrained
 
-from conftest import det_policy, enumerate_optimal_values, one_state_mdp, random_policy, soft_values_by_sweeps
+from conftest import (
+    CHAIN_CAP_REWARD,
+    det_policy,
+    enumerate_optimal_values,
+    howard_policy_iteration,
+    one_state_mdp,
+    random_policy,
+    soft_values_by_sweeps,
+    three_state_chain,
+)
 
 
 class TestTypes:
@@ -153,12 +163,28 @@ class TestValueIteration:
         revalued = policy_evaluation(mdp, greedy_policy(vf), RewardTable(r))
         assert np.abs(revalued.v - best).max() <= bound
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+    def test_matches_policy_iteration_without_warm_up(self, gamma, rng):
+        # The sweeps only choose where Howard's steps start: the certified
+        # optimum, and so the greedy policy, is the one plain policy iteration finds.
+        cases = [(random_mdp(8, 3, gamma, rng), rng.normal(size=(8, 3))) for _ in range(10)]
+        grid, _ = build_gridworld(GridworldSpec(10, 10, (0, 0), gamma))
+        cases += [(grid, rng.integers(-1, 2, size=(100, 5)).astype(float)) for _ in range(5)]
+        cases += [(grid, (rng.random((100, 5)) < 0.02).astype(float)) for _ in range(5)]
+        for mdp, r in cases:
+            vf = value_iteration(mdp, RewardTable(r))
+            reference = howard_policy_iteration(mdp, r)
+            assert np.array_equal(greedy_policy(vf).probs, greedy_policy(reference).probs)
+            bound = 1e-12 * (1.0 + np.abs(reference.q).max()) / (1.0 - gamma)
+            assert np.abs(vf.q - reference.q).max() <= bound
+
     def test_step_cap_raises_solver_error(self, monkeypatch):
-        # Greedy on r stays in state 0 (reward 1 a step); moving to state 1
-        # (reward 5 a step) is optimal, so a second improvement step is needed.
-        mdp = fig_two_state_chain(0.5)
-        r = RewardTable([[1.0, 0.0], [5.0, 5.0]])
-        assert value_iteration(mdp, r).v == pytest.approx([5.0, 10.0])
+        # The warm-up sweeps stay in state 0 (reward 1 a step); moving on to
+        # state 2 (reward 5 a step, two moves away) is optimal, so a second
+        # improvement step is needed.
+        mdp = three_state_chain(0.5)
+        r = RewardTable(CHAIN_CAP_REWARD)
+        assert value_iteration(mdp, r).v == pytest.approx([2.5, 5.0, 10.0])
         monkeypatch.setattr(mdp_module, "MAX_POLICY_ITERATIONS", 1)
         with pytest.raises(SolverError):
             value_iteration(mdp, r)
