@@ -99,11 +99,9 @@ def weighted_centroid_opt(req: CentroidRequest, q) -> RewardTable:
         raise DomainError("q must be finite and nonnegative with positive sum")
     values = centroid(req).values.copy()
     total = q.sum()
-    for j, s in enumerate(off):
-        mass = np.zeros(req.num_actions)
-        for weight, ext in zip(q, extensions):
-            mass[ext[j]] += weight
-        values[s, :] = mass / total
+    actions = np.array(extensions, dtype=np.intp).reshape(len(extensions), len(off))
+    for j, s in enumerate(off):  # bincount adds q in extension order, as a loop would
+        values[s, :] = np.bincount(actions[:, j], weights=q, minlength=req.num_actions) / total
     return RewardTable(values)
 
 

@@ -124,19 +124,24 @@ def _sigmas(estimate: float, target: float, std_error: float) -> float:
     return abs(estimate - target) / std_error
 
 
+def _report(check: str, estimate, std_error, target, sigmas_off, passed) -> dict:
+    """The geometry report.  An infinite number, such as an estimate off target
+    with a zero standard error, is JSON null, not Infinity."""
+    report = {"check": check, "estimate": estimate, "std_error": std_error,
+              "target": target, "sigmas_off": sigmas_off, "pass": passed}
+    return {k: None if isinstance(v, float) and np.isinf(v) else v for k, v in report.items()}
+
+
+_UNIT_OPT_PARAMS = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+
+
 def _check_prop1(n: int, seed: int) -> dict:
     mdp = mclab.fig_two_state_chain(0.999)
     policy = PolicyTable.from_actions([0, 0], 2)
     est = mclab.mc_volume_fraction(mdp, policy, BehaviorModel.opt(), (-1.0, 1.0), n, seed)
     target = 1.0 / 6.0
-    return {
-        "check": "prop1",
-        "estimate": est.mean,
-        "std_error": est.std_error,
-        "target": target,
-        "sigmas_off": _sigmas(est.mean, target, est.std_error),
-        "pass": abs(est.mean - target) <= 0.01,
-    }
+    return _report("prop1", est.mean, est.std_error, target,
+                   _sigmas(est.mean, target, est.std_error), abs(est.mean - target) <= 0.01)
 
 
 def _check_prop2(n: int, seed: int) -> dict:
@@ -146,14 +151,7 @@ def _check_prop2(n: int, seed: int) -> dict:
     ]
     targets = [2.0, 2.0 - float(np.log(2.0))]
     ok = all(abs(l - t) <= 1e-12 for l, t in zip(lengths, targets))
-    return {
-        "check": "prop2",
-        "estimate": lengths,
-        "std_error": [0.0, 0.0],
-        "target": targets,
-        "sigmas_off": 0.0 if ok else float("inf"),
-        "pass": ok,
-    }
+    return _report("prop2", lengths, [0.0, 0.0], targets, 0.0 if ok else float("inf"), ok)
 
 
 def _prop4_instance(seed: int) -> TabularMdp:
@@ -163,49 +161,34 @@ def _prop4_instance(seed: int) -> TabularMdp:
 
 def _check_prop4(n: int, seed: int) -> dict:
     mdp = _prop4_instance(seed)
-    params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
-    lo, hi = bounding_box(params, mdp.discount)
+    lo, hi = bounding_box(_UNIT_OPT_PARAMS, mdp.discount)
     box_volume = (hi - lo) ** (mdp.num_states * mdp.num_actions)
     target = 2.0**mdp.num_states  # c1 = c2 = 1
     estimates, errors, sigmas = [], [], []
     for idx, actions in enumerate([[0, 0], [0, 1], [1, 0], [1, 1]]):
         policy = PolicyTable.from_actions(actions, 2)
         est = mclab.mc_volume_fraction(
-            mdp, policy, BehaviorModel.opt(), (lo, hi), n, seed + idx, params=params
+            mdp, policy, BehaviorModel.opt(), (lo, hi), n, seed + idx, params=_UNIT_OPT_PARAMS
         )
         estimates.append(est.mean * box_volume)
         errors.append(est.std_error * box_volume)
         sigmas.append(_sigmas(est.mean * box_volume, target, est.std_error * box_volume))
-    return {
-        "check": "prop4",
-        "estimate": estimates,
-        "std_error": errors,
-        "target": target,
-        "sigmas_off": max(sigmas),
-        "pass": max(sigmas) <= 3.0,
-    }
+    return _report("prop4", estimates, errors, target, max(sigmas), max(sigmas) <= 3.0)
 
 
 def _check_centroid_opt(n: int, seed: int) -> dict:
     mdp = _prop4_instance(seed)
     expert = PolicyTable.from_actions([0, 0], 2)
     support = frozenset({0})
-    params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
-    est = mclab.mc_centroid_opt(mdp, expert, support, params, n, seed)
+    est = mclab.mc_centroid_opt(mdp, expert, support, _UNIT_OPT_PARAMS, n, seed)
     if est.n_accepted == 0:
         raise DomainError(f"centroid-opt accepted none of {n} samples; use a larger --n")
     closed = centroid(CentroidRequest(expert=expert, support=support, kind=OPT))
     fit = affine_fit(RewardTable(est.mean), closed)
     bound = max(0.02, 4.0 * float(np.max(est.std_error)))
     ok = fit.alpha > 0 and fit.residual_sup <= bound
-    return {
-        "check": "centroid-opt",
-        "estimate": fit.residual_sup,
-        "std_error": float(np.max(est.std_error)),
-        "target": 0.0,
-        "sigmas_off": fit.residual_sup / max(bound, 1e-300) * 3.0,
-        "pass": bool(ok),
-    }
+    return _report("centroid-opt", fit.residual_sup, float(np.max(est.std_error)), 0.0,
+                   fit.residual_sup / max(bound, 1e-300) * 3.0, bool(ok))
 
 
 def _check_centroid_manifold(n: int, seed: int) -> dict:
@@ -219,32 +202,18 @@ def _check_centroid_manifold(n: int, seed: int) -> dict:
         est = mclab.mc_centroid_manifold(mdp, eta, 2.0, n, seed)
         sigmas = map(_sigmas, est.mean.ravel(), eta.values.ravel(), est.std_error.ravel())
         worst = max(worst, float(max(sigmas)))
-    return {
-        "check": "centroid-manifold",
-        "estimate": worst / 4.0,
-        "std_error": 1.0,
-        "target": 0.0,
-        "sigmas_off": worst,
-        "pass": worst <= 4.0,
-    }
+    return _report("centroid-manifold", worst / 4.0, 1.0, 0.0, worst, worst <= 4.0)
 
 
 def _check_centroid_prior(n: int, seed: int) -> dict:
     mdp = _prop4_instance(seed)
-    params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
-    est = mclab.mc_centroid_prior(mdp, params, n, seed)
+    est = mclab.mc_centroid_prior(mdp, _UNIT_OPT_PARAMS, n, seed)
     if est.n_accepted == 0:
         raise DomainError(f"centroid-prior accepted none of {n} samples; use a larger --n")
     _, residual = constant_fit(RewardTable(est.mean))
     bound = 4.0 * float(np.max(est.std_error))
-    return {
-        "check": "centroid-prior",
-        "estimate": residual,
-        "std_error": float(np.max(est.std_error)),
-        "target": 0.0,
-        "sigmas_off": _sigmas(residual, 0.0, float(np.max(est.std_error))),
-        "pass": residual <= bound,
-    }
+    return _report("centroid-prior", residual, float(np.max(est.std_error)), 0.0,
+                   _sigmas(residual, 0.0, float(np.max(est.std_error))), residual <= bound)
 
 
 def _check_transfer_ratio(n: int, seed: int) -> dict:
@@ -259,14 +228,8 @@ def _check_transfer_ratio(n: int, seed: int) -> dict:
     half_gap_ok = all(
         abs(e - 0.5) >= 5.0 * s for e, s in zip(estimates, errors)
     )
-    return {
-        "check": "transfer-ratio",
-        "estimate": estimates,
-        "std_error": errors,
-        "target": targets,
-        "sigmas_off": max(sigmas),
-        "pass": max(sigmas) <= 3.0 and half_gap_ok,
-    }
+    return _report("transfer-ratio", estimates, errors, targets, max(sigmas),
+                   max(sigmas) <= 3.0 and half_gap_ok)
 
 
 GEOMETRY_CHECKS = {
@@ -280,19 +243,10 @@ GEOMETRY_CHECKS = {
 }
 
 
-def run_geometry_check(check: str, n: int, seed: int) -> dict:
-    if check not in GEOMETRY_CHECKS:
-        raise DomainError(f"unknown geometry check {check!r}")
-    report = GEOMETRY_CHECKS[check](n, seed)
-    # An estimate off target with a zero standard error is an undefined
-    # number of standard errors away: JSON null, not Infinity.
-    return {k: None if isinstance(v, float) and np.isinf(v) else v for k, v in report.items()}
-
-
 def _cmd_geometry(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
-    report = run_geometry_check(args.check, args.n, args.seed)
+    report = GEOMETRY_CHECKS[args.check](args.n, args.seed)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 

@@ -311,9 +311,9 @@ def sample_bound(
         raise DomainError("delta must lie in (0, 1)")
     if not (0.0 < p_min <= 1.0):
         raise DomainError("p_min must lie in (0, 1]")
-    if kind == OPT:
+    if check_kind(kind) == OPT:
         n = math.log(support_size / delta) / p_min
-    elif kind in (MCE, BIRL):
+    else:
         if eps is None or not (0.0 < eps <= 1.0):
             raise DomainError("eps must lie in (0, 1]")
         if pi_min_prime is None or not (0.0 < pi_min_prime < 1.0):
@@ -323,6 +323,4 @@ def sample_bound(
             n = 16.0 * math.log(4.0 * sa / delta) ** 2 / (eps**2 * pi_min_prime * p_min)
         else:
             n = 33.0 * math.log(8.0 * sa / delta) ** 2 / (eps**2 * pi_min_prime * p_min)
-    else:
-        raise DomainError(f"unknown estimator kind {kind!r}")
     return max(1, math.ceil(n))

@@ -31,7 +31,8 @@ def philox(seed: int) -> np.random.Philox:
 
 def check_positive(value, name: str) -> float:
     """value as a float; DomainError, naming it, unless it is a finite positive number."""
-    if not (isinstance(value, Real) and 0 < value < np.inf):  # NaN fails both comparisons
+    # NaN fails both comparisons; a bool is a Real, but True is no constant
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < np.inf):
         raise DomainError(f"{name} must be finite and positive, not {value!r}")
     return float(value)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rewardcentroids import lp, mdp as mdp_module, planning
-from rewardcentroids.cli import main
+from rewardcentroids.cli import GEOMETRY_CHECKS, main
 from rewardcentroids.mdp import PolicyTable, RewardTable, TabularMdp
 from rewardcentroids.planning import ConstraintSpec
 from rewardcentroids.serialization import (
@@ -190,6 +190,22 @@ def test_geometry_report_is_standard_json(check, sigmas_off, capsys):
     main(["geometry", "--check", check, "--n", "1", "--seed", "1"])
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["sigmas_off"] == sigmas_off
+
+
+# centroid-opt and centroid-prior refuse a run that accepts no sample
+_REPORTING_RUNS = {"centroid-opt": ["--n", "20000", "--seed", "3"],
+                   "centroid-prior": ["--n", "20000", "--seed", "3"]}
+
+
+@pytest.mark.parametrize("check", sorted(GEOMETRY_CHECKS))
+def test_every_geometry_check_writes_the_six_keys(check, tmp_path, capsys):
+    argv = ["geometry", "--check", check, *_REPORTING_RUNS.get(check, ["--n", "1", "--seed", "1"])]
+    main(argv)
+    stdout = capsys.readouterr().out
+    doc = json.loads(stdout, parse_constant=_reject_constant)
+    assert sorted(doc) == sorted(["check", "estimate", "std_error", "target", "sigmas_off", "pass"])
+    main([*argv, "--out", str(tmp_path / "report.json")])
+    assert (tmp_path / "report.json").read_text() == stdout
 
 
 def test_gridworld_build_and_render(tmp_path, capsys):

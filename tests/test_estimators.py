@@ -643,6 +643,13 @@ class TestSampleBound:
         )
         assert n == 1
 
+    def test_rejects_an_unknown_kind_as_every_kind_check_does(self):
+        with pytest.raises(DomainError, match=r"^unknown behavior model 'x'; accepted: "):
+            sample_bound(
+                "x", num_states=2, num_actions=2, support_size=2, delta=0.1,
+                p_min=0.5, horizon=2, eps=0.5, pi_min_prime=0.1,
+            )
+
     def test_rejects_short_horizon(self):
         with pytest.raises(DomainError):
             sample_bound(

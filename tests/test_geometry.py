@@ -110,6 +110,9 @@ def test_check_positive_takes_finite_positive_numbers_alone():
     for value in (None, "1.0", np.array([1.0])):
         with pytest.raises(DomainError, match="^x must be finite and positive, not "):
             check_positive(value, "x")
+    for value in (True, False):
+        with pytest.raises(DomainError, match=f"^x must be finite and positive, not {value}$"):
+            check_positive(value, "x")
 
 
 class TestOperators:
