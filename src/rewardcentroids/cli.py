@@ -17,7 +17,7 @@ import numpy as np
 from . import mclab
 from .centroids import CentroidRequest, affine_fit, centroid, constant_fit
 from .errors import DomainError, SolverError
-from .estimators import DEFAULT_PI_MIN_PRIME, estimate, simulate_expert
+from .estimators import DEFAULT_PI_MIN_PRIME, check_rollout_size, estimate, simulate_expert
 from .geometry import BIRL, MCE, OPT, BehaviorModel, BoundedSetParams, bounding_box, eta_birl, eta_mce
 from .gridworld import GridworldSpec, build_gridworld, run_scenario, spec_from_dict
 from .mdp import PolicyTable, RewardTable, TabularMdp, philox, random_mdp
@@ -76,6 +76,7 @@ def _cmd_simulate(args) -> int:
     if args.n < 1 or args.h < 1:
         raise DomainError("--n and --h must be >= 1")
     mdp = ser.load_mdp(args.mdp)
+    check_rollout_size(mdp, args.n, args.h, "--n, --h")
     policy = ser.load_policy(args.policy)
     with _about(args.mdp, args.policy):
         data = simulate_expert(mdp, policy, args.n, args.h, args.seed)

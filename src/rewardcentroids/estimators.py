@@ -23,6 +23,7 @@ from .centroids import CentroidRequest, centroid, opt_table
 from .errors import DomainError
 from .geometry import BIRL, MCE, OPT, check_kind, log_policy
 from .mdp import (
+    MAX_ROLLOUT_BYTES,
     PolicyTable,
     RewardTable,
     TabularMdp,
@@ -123,6 +124,25 @@ def _draw(values: np.ndarray, idx: np.ndarray, rows: np.ndarray, u: np.ndarray) 
     return idx.ravel().take(flat)
 
 
+def check_rollout_size(mdp: TabularMdp, n: int, h: int, names: str = "n, h") -> None:
+    """DomainError, naming the inputs `names`, when n trajectories of length h
+    need more than MAX_ROLLOUT_BYTES.
+
+    The estimate counts simulate_expert's (h, n) state and action buffers,
+    the dataset's copy of each, and 32 bytes a trajectory for one step's
+    float64 draws and intp indices (its peak under tracemalloc is 36 bytes
+    a trajectory at h = 1 and 7 a step at h = 10 on a 10x10 grid).
+    """
+    S, A = mdp.num_states, mdp.num_actions
+    step = np.min_scalar_type(S * A).itemsize + np.min_scalar_type(A).itemsize
+    size = n * (2 * h * step + 32)
+    if size > MAX_ROLLOUT_BYTES:
+        raise DomainError(
+            f"{n:,} trajectories of {h:,} steps ({names}) need {size / 2**20:,.0f} MiB "
+            f"of trajectory buffers, over the {MAX_ROLLOUT_BYTES // 2**20} MiB limit"
+        )
+
+
 def simulate_expert(
     mdp: TabularMdp, expert: PolicyTable, n: int, h: int, seed: int
 ) -> TrajectoryDataset:
@@ -140,6 +160,7 @@ def simulate_expert(
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
+    check_rollout_size(mdp, n, h)
     check_table(mdp, expert.probs, "expert")
     S, A = mdp.num_states, mdp.num_actions
     rng = np.random.Generator(philox(seed))

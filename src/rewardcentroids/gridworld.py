@@ -25,6 +25,7 @@ from .errors import DomainError
 from .estimators import DEFAULT_PI_MIN_PRIME, estimate, exact_estimate, simulate_expert
 from .geometry import check_kind
 from .mdp import (
+    MAX_TRANSITION_BYTES,
     OccupancyMeasure,
     PolicyTable,
     RewardTable,
@@ -39,10 +40,6 @@ from .serialization import _float, _indices, _int, _known_keys, _load_json, load
 
 LEFT, RIGHT, UP, DOWN, STAY = range(5)
 NUM_GRID_ACTIONS = len(MOVES)
-# Largest dense S x A x S float64 transition tensor a grid may build (42x42
-# fits, 43x43 does not); `gridworld build` of a grid at the limit peaks near
-# 0.8 GiB, most of it writing mdp.json.  See README.md.
-MAX_TRANSITION_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)

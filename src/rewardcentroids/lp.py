@@ -18,8 +18,10 @@ columns x, then one slack column per `<=` row.  A solve runs in three stages.
   so this stage is bounded.
 
 The entering variable is the column with the most negative reduced cost
-(Dantzig's rule); the leaving variable passes the minimum-ratio test, ties
-going to the lowest-index basic variable.  Dantzig's rule can cycle on
+(Dantzig's rule); the leaving variable passes the minimum-ratio test, exact
+ties going to the lowest-index basic variable.  A row whose ratio is above
+the minimum, however slightly, never leaves: its pivot would drive the
+minimum row's basic value below zero.  Dantzig's rule can cycle on
 degenerate vertices, so once as many consecutive degenerate pivots (zero
 step length) have been taken as there are candidate columns, the entering
 variable becomes the lowest-index column with a negative reduced cost
@@ -94,7 +96,7 @@ def _ratio_leaving(tab: np.ndarray, basis: np.ndarray, col: int) -> int | None:
         return None
     ratios = np.maximum(tab[rows, -1], 0.0) / rates[rows]
     best = ratios.min()
-    ties = rows[ratios <= best + PIVOT_TOL]
+    ties = rows[ratios <= best]
     return int(ties[np.argmin(basis[ties])])
 
 

@@ -20,6 +20,14 @@ from .errors import DomainError, SolverError
 ROW_SUM_ATOL = 1e-12
 GREEDY_RTOL = 1e-9  # q ties: q >= max q - GREEDY_RTOL * (1 + |max q|)
 MAX_POLICY_ITERATIONS = 1000
+# Size limits, checked before allocating; see README.md.  The largest dense
+# S x A x S float64 transition tensor a grid may build (42x42 fits, 43x43
+# does not); `gridworld build` of a grid at the limit peaks near 0.8 GiB,
+# most of it writing mdp.json.
+MAX_TRANSITION_BYTES = 128 * 2**20
+# The most that simulate_expert may allocate for its trajectories
+# (`estimators.check_rollout_size`).
+MAX_ROLLOUT_BYTES = 512 * 2**20
 
 
 def philox(seed: int) -> np.random.Philox:

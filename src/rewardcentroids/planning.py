@@ -13,13 +13,17 @@ sum|d - d_E| = 1 - sum(d_E) + 2 sum(w).
 Each LP starts from the basis of a deterministic crash policy pi: the
 columns (s, pi(s)), whose flow rows form W_pi^T (Puterman 1994, 6.9), and
 per `<=` row the cost slack, or MIMIC's w_i where d_E,i exceeds the crash
-occupancy and the row's slack elsewhere.  The crash policy is the preferred
-one (the greedy policy of r; the expert's actions) when it meets the
-budget, else the min-cost policy.  A deterministic min-cost policy attains
-the least cost value of any policy (Altman 1999), so when even it is over
-budget no policy is feasible and no LP is solved.  Every solution is
-certified: its primal residual and its duality gap must stay within
-CERTIFY_TOL * (1 + |objective|).
+occupancy and the row's slack elsewhere.  The crash policy is greedy for the
+LP's own gain: r for planning, and for MIMIC the indicator of the support K,
+which is the objective's gradient while every w_i is basic.  A greedy
+policy's flow basis is dual feasible for its gain (the LP/policy-iteration
+duality), so a plan whose greedy policy meets the budget takes no
+phase-2 pivot.  Under a budget the crash is the first of three greedy
+policies that meets it: of the gain, of the gain less M times the cost, and
+of minus the cost.  A deterministic min-cost policy attains the least cost
+value of any policy (Altman 1999), so when even it is over budget no policy
+is feasible and no LP is solved.  Every solution is certified: its primal
+residual and its duality gap must stay within CERTIFY_TOL * (1 + |objective|).
 """
 
 from __future__ import annotations
@@ -121,28 +125,46 @@ def policy_from_occupancy(d: OccupancyMeasure) -> PolicyTable:
 
 
 def _crash(
-    mdp: TabularMdp, actions: np.ndarray, constraint: ConstraintSpec | None, infeasible: str
+    mdp: TabularMdp, gain: np.ndarray, constraint: ConstraintSpec | None, infeasible: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The crash policy's actions and flat occupancy: `actions` if they meet
-    the budget, else the min-cost policy's; InfeasibleConstraintError if
-    neither does."""
-    d = occupancy_measure(mdp, PolicyTable.from_actions(actions, mdp.num_actions)).d
-    if constraint is None:
-        return actions, d.ravel()
-    cost = constraint.cost.values
-    allowance = (1.0 - mdp.discount) * constraint.budget
-    limit = allowance + CERTIFY_TOL * (1.0 + allowance)
-    if (d * cost).sum() > limit:
-        cheapest = greedy_policy(value_iteration(mdp, RewardTable(-cost)))
-        actions, d = cheapest.actions(), occupancy_measure(mdp, cheapest).d
-        if (d * cost).sum() > limit:
-            raise InfeasibleConstraintError(infeasible)
-    return actions, d.ravel()
+    """The crash policy's actions and flat occupancy for an LP that maximizes
+    sum(d * gain): the first of these greedy policies to meet the budget.
+
+    1. The greedy policy of the gain (the only one tried without a budget).
+    2. The greedy policy of gain - M * cost, with M = span(gain) / (1 - gamma) + 1.
+       M exceeds any two policies' difference in gain value, so where every
+       cost is 0 or at least 1 this policy avoids each cost it can avoid.
+    3. The min-cost policy, greedy for -cost.  It attains the least cost
+       value of any policy (Altman 1999), so if it is over budget no policy
+       meets the budget: InfeasibleConstraintError.
+    """
+    gains = [gain]
+    if constraint is not None:
+        cost = constraint.cost.values
+        big_m = (gain.max() - gain.min()) / (1.0 - mdp.discount) + 1.0
+        gains += [gain - big_m * cost, -cost]
+        allowance = (1.0 - mdp.discount) * constraint.budget
+        limit = allowance + CERTIFY_TOL * (1.0 + allowance)
+    for table in gains:
+        policy = plan_unconstrained(mdp, RewardTable(table))
+        d = occupancy_measure(mdp, policy).d
+        if constraint is None or (d * cost).sum() <= limit:
+            return policy.actions(), d.ravel()
+    raise InfeasibleConstraintError(infeasible)
 
 
-def _flow_basis(mdp: TabularMdp, actions: np.ndarray) -> np.ndarray:
-    """The columns (s, actions[s]): a basis of the flow rows."""
-    return np.arange(mdp.num_states) * mdp.num_actions + actions
+def _start_basis(lp: LinearProgram, actions: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The starting basis of an occupancy LP at a deterministic policy with
+    flat occupancy d: the policy's flow columns (s, actions[s]), the cost
+    slack if the LP has a budget row, and per MIMIC support row w_i where d
+    falls short of d_E,i (the row fails at w_i = 0), else the row's slack."""
+    sa, n = d.size, lp.num_vars
+    k = n - sa  # support rows, one w_i each, after the budget row
+    first = lp.ub_rhs.size - k
+    short = lp.ub_lhs[first:, :sa] @ d > lp.ub_rhs[first:]
+    flow = np.arange(actions.size) * (sa // actions.size) + actions  # s * A + actions[s]
+    rows = np.arange(k)
+    return np.concatenate([flow, n + np.arange(first), np.where(short, sa + rows, n + first + rows)])
 
 
 def _solve_occupancy(
@@ -172,11 +194,8 @@ def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec
     """Maximize V(s0; r) over policies whose cost value stays within budget."""
     check_table(mdp, r.values, "reward")
     lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
-    actions, _ = _crash(
-        mdp, plan_unconstrained(mdp, r).actions(), constraint, "no policy satisfies the cost budget"
-    )
-    # The cost slack completes the basis.
-    basis = np.append(_flow_basis(mdp, actions), lp.num_vars)
+    actions, d = _crash(mdp, r.values, constraint, "no policy satisfies the cost budget")
+    basis = _start_basis(lp, actions, d)
     policy, occ = _solve_occupancy(mdp, lp, basis)
     value = float((occ.d * r.values).sum() / (1.0 - mdp.discount))
     return PlanResult(policy=policy, occupancy=occ, value=value)
@@ -224,14 +243,11 @@ def mimic_policy(
     lp = _occupancy_lp(
         target_mdp, objective, constraint, extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
     )
+    in_support = (d_e > 0).astype(float).reshape(target_mdp.num_states, -1)
     actions, d = _crash(
-        target_mdp, expert.actions(), constraint, "no feasible occupancy satisfies the constraints"
+        target_mdp, in_support, constraint, "no feasible occupancy satisfies the constraints"
     )
-    # Per support row: w_i where the crash falls short of d_E,i, else the row's slack.
-    first_slack = lp.num_vars + lp.ub_rhs.size - k
-    row_basis = np.where(d_e[support] > d[support], sa + np.arange(k), first_slack + np.arange(k))
-    cost_slack = np.arange(lp.num_vars, first_slack)  # empty without a constraint
-    basis = np.concatenate([_flow_basis(target_mdp, actions), cost_slack, row_basis])
+    basis = _start_basis(lp, actions, d)
     policy, occ = _solve_occupancy(target_mdp, lp, basis)
     l1 = float(np.abs(occ.d.ravel() - d_e).sum())
     return MimicResult(policy=policy, occupancy=occ, l1_distance=l1)

@@ -642,12 +642,14 @@ GEOMETRY_PROP2 = ["geometry", "--check", "prop2", "--out", "{dir}/t2.jsonl"]  # 
     (ESTIMATE_MCE, "--num-actions", "0", "--num-states and --num-actions must be >= 1"),
     (SIMULATE_CHAIN, "--n", "0", "--n and --h must be >= 1"),
     (SIMULATE_CHAIN, "--h", "0", "--n and --h must be >= 1"),
+    (SIMULATE_CHAIN, "--n", "100000000", "100,000,000 trajectories of 2 steps (--n, --h) need "
+     "3,815 MiB of trajectory buffers, over the 512 MiB limit"),
     (SIMULATE_CHAIN, "--seed", "-1", "--seed must lie in [0, 2**128)"),
     (GEOMETRY_PROP1, "--n", "0", "--n must be >= 1"),
     (GEOMETRY_PROP1, "--seed", "-1", "--seed must lie in [0, 2**128)"),
     (GEOMETRY_PROP2, "--n", "0", "--n must be >= 1"),
     (GEOMETRY_PROP2, "--seed", "-1", "--seed must lie in [0, 2**128)"),
-], ids=["pi-min-prime", "num-states", "num-actions", "n", "h", "seed",
+], ids=["pi-min-prime", "num-states", "num-actions", "n", "h", "rollout-size", "seed",
         "geometry-prop1-n", "geometry-prop1-seed", "geometry-prop2-n", "geometry-prop2-seed"])
 def test_flag_errors_name_the_flag_not_an_input_file(chain_files, capsys, command, flag, value, message):
     (chain_files / "t.jsonl").write_text('{"states": [0, 1], "actions": [1, 0]}\n')

@@ -240,6 +240,28 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak <= 0.5 * n * h * 16
 
+    def test_rollout_over_the_size_limit_is_rejected_before_allocating(self):
+        # a 3x3 grid at n = 10**8, h = 100: one byte a state and one an
+        # action, twice over, plus 32 bytes a trajectory
+        mdp, _ = build_gridworld(spec_from_dict({"width": 3, "height": 3, "initial_cell": [0, 0], "gamma": 0.9}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"100,000,000 trajectories of 100 steps \(n, h\) "
+                               r"need 41,199 MiB of trajectory buffers, over the 512 MiB limit"):
+                simulate_expert(mdp, PolicyTable(np.full((9, 5), 0.2)), 10**8, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_rollout_at_the_size_limit_runs(self, monkeypatch):
+        # 2 states and 2 actions: (2 * h * 2 + 32) bytes a trajectory, 48 at h = 4
+        mdp = cycle_mdp(2)
+        monkeypatch.setattr(estimators, "MAX_ROLLOUT_BYTES", 10 * 48)
+        simulate_expert(mdp, det_policy([0, 0], 2), 10, 4, seed=0)
+        with pytest.raises(DomainError, match="11 trajectories of 4 steps"):
+            simulate_expert(mdp, det_policy([0, 0], 2), 11, 4, seed=0)
+
 
 class TestCompactDataset:
     """A dataset in the rollout's compact types gives what its int64 copy gives."""

@@ -219,6 +219,16 @@ class TestDegeneracy:
         assert sol.objective_value == pytest.approx(brute_force_min(c, A, b), abs=1e-8)
         assert_dual_certificate(c, A, b, sol)
 
+    def test_leaving_row_ties_only_at_the_exact_minimum_ratio(self):
+        # Row 1's ratio lies PIVOT_TOL / 2 above row 0's.  Tying every ratio
+        # within PIVOT_TOL of the minimum would pick row 1, the lower basis
+        # index, and drive row 0's basic value to -PIVOT_TOL / 2.
+        tab = np.array([[1.0, 1.0], [1.0, 1.0 + lp_module.PIVOT_TOL / 2]])
+        basis = np.array([3, 2])
+        assert lp_module._ratio_leaving(tab, basis, 0) == 0
+        tab[1, -1] = 1.0  # an exact tie still goes to the lowest basis index
+        assert lp_module._ratio_leaving(tab, basis, 0) == 1
+
     def test_solution_type(self):
         sol = solve(ub_program([-1.0], [[1.0]], [1.0]))
         assert isinstance(sol, LpSolution)

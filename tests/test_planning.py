@@ -8,7 +8,7 @@ from rewardcentroids import planning
 from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
 from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible
-from rewardcentroids.gridworld import NUM_GRID_ACTIONS, run_scenario
+from rewardcentroids.gridworld import NUM_GRID_ACTIONS, GridworldSpec, build_gridworld, run_scenario
 from rewardcentroids.lp import LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
@@ -181,15 +181,19 @@ def gridworld_programs(tmp_path_factory):
 class TestUniqueOptimum:
     @pytest.mark.parametrize("index", range(len(LP_SCENARIOS)), ids=LP_SCENARIOS)
     def test_same_x_from_any_start_and_column_order(self, gridworld_programs, index):
-        # The other start is the flow basis of a random deterministic policy
-        # with the recorded ub-row part: the first draw that solve accepts.
+        # The other start is the basis of a random deterministic policy, its
+        # ub-row part set from that policy's own occupancy by the planner's
+        # rule: the first draw that solve accepts.
         program, basis = gridworld_programs[index]
         warm = solve(program, basis)
         S = program.eq_rhs.size
         draws = np.random.default_rng(index)
         for _ in range(20):
-            other = basis.copy()
-            other[:S] = np.arange(S) * NUM_GRID_ACTIONS + draws.integers(NUM_GRID_ACTIONS, size=S)
+            actions = draws.integers(NUM_GRID_ACTIONS, size=S)
+            flow = np.arange(S) * NUM_GRID_ACTIONS + actions
+            d = np.zeros(S * NUM_GRID_ACTIONS)
+            d[flow] = np.linalg.solve(program.eq_lhs[:, flow], program.eq_rhs)
+            other = planning._start_basis(program, actions, d)
             try:
                 start = solve(program, other)
                 break
@@ -201,6 +205,61 @@ class TestUniqueOptimum:
         perm = np.random.default_rng(index).permutation(program.num_vars)
         assert np.abs(warm.x - start.x).max() <= 1e-12
         assert np.abs(solve_permuted(program, perm, basis) - warm.x).max() <= 1e-12
+
+
+class TestCrash:
+    """The crash policy is the first greedy policy to meet the budget: of the
+    gain, of gain - M * cost, then of -cost."""
+
+    @pytest.mark.parametrize(("name", "most"), [("fig2b", 2), ("fig4e", 11)])
+    def test_gridworld_program_starts_near_its_optimum(self, gridworld_programs, name, most):
+        # Started from the expert's actions, fig2b's program takes 97 phase-2
+        # pivots; started from its min-cost policy, fig4e's takes 91.
+        program, basis = gridworld_programs[LP_SCENARIOS.index(name)]
+        assert solve(program, basis).pivots[0] <= most
+
+    @pytest.fixture
+    def separated(self, rng):
+        """An MDP, gain and cost whose three crash policies have distinct cost
+        values c1 > c2 > c3; their actions and cost values."""
+        for _ in range(50):
+            mdp = random_mdp(4, 3, 0.8, rng)
+            gain = rng.normal(size=(4, 3))
+            cost = rng.uniform(0.0, 1.0, size=(4, 3)) ** 2
+            big_m = np.ptp(gain) / (1.0 - mdp.discount) + 1.0
+            candidates = []
+            for table in (gain, gain - big_m * cost, -cost):
+                policy = plan_unconstrained(mdp, RewardTable(table))
+                value = policy_evaluation(mdp, policy, RewardTable(cost)).v[mdp.initial_state]
+                candidates.append((policy.actions(), value))
+            (_, c1), (_, c2), (_, c3) = candidates
+            if c1 > c2 + 1e-3 and c2 > c3 + 1e-3:
+                return mdp, gain, cost, candidates
+        pytest.fail("no instance separates the three crash policies")
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_returns_the_first_greedy_policy_within_budget(self, separated, first):
+        # The budget is the candidate's own cost value, which the ones before
+        # it exceed.
+        mdp, gain, cost, candidates = separated
+        expected, budget = candidates[first]
+        actions, d = planning._crash(mdp, gain, ConstraintSpec(RewardTable(cost), budget), "")
+        assert np.array_equal(actions, expected)
+        assert d == pytest.approx(occupancy_measure(mdp, det_policy(expected, 3)).d.ravel())
+
+    def test_without_a_budget_returns_the_greedy_policy_of_the_gain(self, separated):
+        mdp, gain, _, candidates = separated
+        actions, _ = planning._crash(mdp, gain, None, "")
+        assert np.array_equal(actions, candidates[0][0])
+
+    def test_budget_below_the_least_cost_solves_no_program(self, monkeypatch, rng, separated):
+        mdp, gain, cost, candidates = separated
+        spec = ConstraintSpec(RewardTable(cost), 0.99 * candidates[2][1])
+        monkeypatch.setattr(planning, "solve", None)
+        with pytest.raises(InfeasibleConstraintError):
+            plan_constrained(mdp, RewardTable(gain), spec)
+        with pytest.raises(InfeasibleConstraintError):
+            mimic_policy(mdp, random_policy(4, 3, rng), mdp, spec)
 
 
 class TestCertificate:
@@ -294,6 +353,19 @@ class TestMimic:
             mimic_policy(
                 mdp, expert, mdp, ConstraintSpec(cost=RewardTable(unavoidable), budget=0.0)
             )
+
+    def test_full_support_expert_on_a_blocked_grid_is_certified(self):
+        # A full-support expert gives one support row per pair: a degenerate
+        # program on which a ratio test that ties within PIVOT_TOL of the
+        # minimum ended on an infeasible basis (primal residual 1.58e-09
+        # against a bound of 1.29e-09).  HiGHS gives 0.5847936693.
+        source, _ = build_gridworld(GridworldSpec(10, 10, (0, 0), 0.9))
+        target, blocked = build_gridworld(
+            GridworldSpec(10, 10, (0, 0), 0.9, reversed=True, blocked_cells=((5, 5), (5, 4)))
+        )
+        expert = PolicyTable(np.random.default_rng(3).dirichlet(np.ones(5) * 0.3, size=100))
+        result = mimic_policy(source, expert, target, blocked)
+        assert result.l1_distance == pytest.approx(0.5847936693, abs=1e-9)
 
 
 class TestMimicOptimum:
