@@ -4,13 +4,13 @@ The estimators here are the package's independent oracles: hypercube volume
 fractions of feasible sets, exact 1-d segment lengths, rejection-sampled
 centroids of the bounded sets, manifold-parameterized centroids, and the
 cross-environment bias ratio.  Membership never runs per-sample value
-iteration: a fixed policy's values and advantages are linear in the reward,
-so each policy becomes two fixed matrices (its values, and its advantages
-at the free, non-prescribed pairs) applied to a column-laid batch.
-The bounded-set oracles build each deterministic policy's maps once per call
-and its gap once per batch, flagging the policies that must be optimal.
-A block's other work is dense products too: shaping_matrix for the shaping
-operator, and the centroid sums over a flat (k, S*A) view.
+iteration: for a deterministic policy the operator r = T(V, gaps) of
+geometry.t_matrix is invertible, so the rows of inv(T) read the policy's
+values and free-pair advantages off a column-laid batch.  The bounded-set
+oracles build each deterministic policy's maps once per call and its gap
+once per batch, flagging the policies that must be optimal.  A block's other
+work is dense products too: shaping_matrix for the shaping operator, and the
+centroid sums over a flat (k, S*A) view.
 
 Sampling is chunked; chunk i of CHUNK samples draws from an independent
 counter-derived substream of the seed, so estimates depend only on (seed, n)
@@ -31,9 +31,9 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OPT, BehaviorModel, BoundedSetParams, bounding_box, check_expert, shaping
-from .mdp import (PolicyTable, RewardTable, TabularMdp, check_positive, check_table, k_pi, philox,
-                  support_mask, w_matrix)
+from .geometry import (OPT, BehaviorModel, BoundedSetParams, bounding_box, check_expert, shaping,
+                       t_matrix)
+from .mdp import PolicyTable, RewardTable, TabularMdp, check_positive, check_table, k_pi, philox, support_mask
 
 CHUNK = 1 << 17
 BLOCK = 1 << 14  # samples drawn and tested at once within a chunk
@@ -113,30 +113,19 @@ def _accumulating_centroid(mdp: TabularMdp, draw, n: int, seed: int, accept=None
 class _PolicyEvaluator:
     """Exact membership tests for one deterministic policy, as fixed linear maps.
 
-    Over the flattened reward r (index s*A + a), v = value_map @ r and the
-    advantages q - v at the free (non-prescribed) pairs are gap_map @ r.
-    value_map (S, S*A) holds inv(I - gamma P_pi) in the prescribed pairs'
-    columns, zeros elsewhere; gap_map (S*(A-1), S*A) is the free pairs' rows,
-    in pair order, of I + gamma P value_map minus value_map repeated per
-    action.  A prescribed pair's advantage is 0 identically (Bellman row) and
-    adds only 0 to a max, so it has no row.  A batch of n rewards is tested
-    as the columns of an (S*A, n) view, one matmul per map.
+    The maps split inv(t_matrix) of the policy: its first S rows, value_map,
+    read the values V off a flattened reward r (index s*A + a); the other
+    S*(A-1), gap_map, read the advantages q - v at the free pairs in pair
+    order.  A prescribed pair's advantage is 0 identically and adds only 0
+    to a max, so it has no row.  A batch of n rewards is tested as the
+    columns of an (S*A, n) view, one matmul per map.
     """
 
     def __init__(self, mdp: TabularMdp, actions: np.ndarray):
-        S, A = mdp.num_states, mdp.num_actions
-        policy = PolicyTable.from_actions(actions, A)
-        prescribed = np.arange(S) * A + policy.actions()
-        free = np.flatnonzero(np.tile(np.arange(A), S) != np.repeat(policy.actions(), A))
-        self.value_map = np.zeros((S, S * A))
-        self.value_map[:, prescribed] = np.linalg.inv(w_matrix(mdp, policy))
-        self.gap_map = (
-            np.eye(S * A)[free]
-            + mdp.discount * mdp.transitions.reshape(S * A, S)[free] @ self.value_map
-            - self.value_map[free // A]
-        )
-        if A == 1:  # no free pair: one zero row reads every sample as optimal
-            self.gap_map = np.zeros((1, S * A))
+        policy = PolicyTable.from_actions(actions, mdp.num_actions)
+        self.value_map, self.gap_map = np.split(np.linalg.inv(t_matrix(mdp, policy)), [mdp.num_states])
+        if mdp.num_actions == 1:  # no free pair: one zero row reads every sample as optimal
+            self.gap_map = np.zeros((1, mdp.num_states))
         self.k_pi = k_pi(mdp, policy)
 
     def optimal_mask(self, rewards: np.ndarray) -> np.ndarray:
@@ -334,13 +323,11 @@ def new_env_bias_ratio(c2: float, n: int, seed: int) -> McEstimate:
     sample_policy = PolicyTable.from_actions([1, 0], 2)  # jump-flavored action in s0, loop in s1
     target = _PolicyEvaluator(dst, np.array([0, 0]))
     v_halfwidth = 1.0 * k_pi(src, sample_policy)  # c1 = 1
+    operator = t_matrix(src, sample_policy)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         v = rng.uniform(-v_halfwidth, v_halfwidth, size=(size, 2))
-        gaps = rng.uniform(-c2, 0.0, size=(size, 2))
-        rewards = shaping(src, v)
-        rewards[:, 0, 0] += gaps[:, 0]  # non-prescribed action in s0
-        rewards[:, 1, 1] += gaps[:, 1]  # non-prescribed action in s1
-        return rewards
+        gaps = rng.uniform(-c2, 0.0, size=(size, 2))  # at the free pairs (0, 0) and (1, 1)
+        return (np.hstack([v, gaps]) @ operator.T).reshape(size, 2, 2)
 
     return _bernoulli_fraction(draw, target.optimal_mask, n, seed)

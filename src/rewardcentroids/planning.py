@@ -24,6 +24,8 @@ of minus the cost.  A deterministic min-cost policy attains the least cost
 value of any policy (Altman 1999), so when even it is over budget no policy
 is feasible and no LP is solved.  Every solution is certified: its primal
 residual and its duality gap must stay within CERTIFY_TOL * (1 + |objective|).
+A program that lp.solve could not hold within MAX_LP_BYTES is refused
+before any program-sized array is built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import OPT, AdvantageGap, check_expert, shaping_matrix, t_operator
 from .lp import LinearProgram, solve
 from .mdp import (
+    MAX_LP_BYTES,
     OccupancyMeasure,
     PolicyTable,
     RewardTable,
@@ -82,6 +85,26 @@ class MimicResult:
 def plan_unconstrained(mdp: TabularMdp, r: RewardTable) -> PolicyTable:
     """Greedy policy of the optimal Q; lowest action index on ties."""
     return greedy_policy(value_iteration(mdp, r))
+
+
+def _check_lp_size(mdp: TabularMdp, constraint: ConstraintSpec | None, support_rows: int = 0) -> None:
+    """DomainError when the occupancy LP over mdp, with the constraint's
+    budget row and MIMIC's support_rows slack rows (one variable each), needs
+    more than MAX_LP_BYTES.
+
+    The count is what lp.solve holds at once: the standard form [A | b] and
+    the tableau B^-1 [A | b], each rows x (variables + ub rows + 1) float64,
+    and the rows x rows basis inverse.
+    """
+    ub_rows = (constraint is not None) + support_rows
+    rows = mdp.num_states + ub_rows
+    variables = mdp.num_states * mdp.num_actions + support_rows
+    size = 8 * rows * (2 * (variables + ub_rows + 1) + rows)
+    if size > MAX_LP_BYTES:
+        raise DomainError(
+            f"an occupancy LP of {rows:,} rows and {variables:,} variables needs {size / 2**20:,.0f} MiB "
+            f"for its standard form, tableau and basis inverse, over the {MAX_LP_BYTES // 2**20} MiB limit"
+        )
 
 
 def _occupancy_lp(
@@ -193,6 +216,7 @@ def _solve_occupancy(
 def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec) -> PlanResult:
     """Maximize V(s0; r) over policies whose cost value stays within budget."""
     check_table(mdp, r.values, "reward")
+    _check_lp_size(mdp, constraint)
     lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
     actions, d = _crash(mdp, r.values, constraint, "no policy satisfies the cost budget")
     basis = _start_basis(lp, actions, d)
@@ -235,6 +259,7 @@ def mimic_policy(
     d_e = occupancy_measure(source_mdp, expert).d.ravel()
     support = np.flatnonzero(d_e)
     k = support.size
+    _check_lp_size(target_mdp, constraint, k)
     objective = np.concatenate([np.zeros(sa), np.ones(k)])
     # w_i >= d_E,i - d_i  <=>  -d_i - w_i <= -d_E,i
     slack_lhs = np.zeros((k, sa + k))

@@ -25,7 +25,7 @@ def _reading(path):
         raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_json(path, convert=lambda doc: doc):
+def _load_json(path, convert):
     """The JSON document at path, passed through convert under _reading."""
     with _reading(path), open(path) as fh:
         return convert(json.load(fh))

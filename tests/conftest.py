@@ -1,11 +1,15 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rewardcentroids import lp as lp_module
+from rewardcentroids import gridworld, lp as lp_module, planning
 from rewardcentroids.lp import LinearProgram, solve
 from rewardcentroids.mdp import MAX_POLICY_ITERATIONS, PolicyTable, TabularMdp, ValueFunctions, _greedy_actions
+from rewardcentroids.serialization import load_policy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def enumerate_optimal_values(mdp: TabularMdp, reward: np.ndarray) -> np.ndarray:
@@ -111,3 +115,27 @@ def solve_permuted(program: LinearProgram, perm: np.ndarray, basis=None) -> np.n
     x = np.empty(n)
     x[perm] = sol.x
     return x
+
+
+def lp_bytes(program: LinearProgram) -> int:
+    """What lp.solve holds for a program: the standard form and the tableau,
+    rows x (variables + ub rows + 1) float64 each, and the rows x rows basis
+    inverse."""
+    rows = program.eq_rhs.size + program.ub_rhs.size
+    return 8 * rows * (2 * (program.num_vars + program.ub_rhs.size + 1) + rows)
+
+
+def fig2b_mimic():
+    """fig2b's MIMIC inputs (source grid, expert, target grid, constraint) and
+    lp_bytes of the program that mimic_policy solves for them."""
+    path = ROOT / "configs" / "fig2b.json"
+    scenario = gridworld._load_json(path, lambda doc: gridworld._scenario_from_dict(doc, path.parent))
+    source, _ = gridworld.build_gridworld(scenario.source)
+    target, constraint = gridworld.build_gridworld(scenario.target)
+    inputs = (source, load_policy(scenario.source.expert_policy_file), target, constraint)
+    programs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planning, "solve", lambda program, basis: programs.append(program) or solve(program, basis))
+        planning.mimic_policy(*inputs)
+    (program,) = programs
+    return inputs, lp_bytes(program)

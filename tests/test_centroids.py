@@ -191,6 +191,11 @@ class TestWeightedCentroid:
         with pytest.raises(DomainError, match="^q must"):
             weighted_centroid_opt(req, np.array(q))
 
+    def test_rejects_a_non_opt_request(self):
+        req = CentroidRequest(expert=PolicyTable([[0.5, 0.5]]), support=frozenset({0}), kind=MCE)
+        with pytest.raises(DomainError, match="^weighted_centroid_opt requires an OPT request$"):
+            weighted_centroid_opt(req, np.ones(1))
+
     @pytest.mark.filterwarnings("error")
     def test_weights_whose_sum_overflows_give_the_uniform_table(self):
         req = opt_request(det_policy([0, 0], 2), {0})
@@ -285,6 +290,10 @@ class TestAffineFit:
         fit = affine_fit(RewardTable(ref.values + noise), ref)
         assert fit.residual_sup <= 0.02
         assert fit.residual_sup >= 1e-4
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DomainError, match="^estimate and reference must share a shape$"):
+            affine_fit(RewardTable([[1.0, 2.0]]), RewardTable([[1.0, 2.0, 3.0]]))
 
     def test_rejects_constant_reference(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ from rewardcentroids.serialization import (
     save_support,
 )
 
-from conftest import CHAIN_CAP_REWARD, three_state_chain
+from conftest import CHAIN_CAP_REWARD, fig2b_mimic, three_state_chain
 
 
 @pytest.fixture
@@ -116,6 +116,16 @@ def test_centroid_stdout(chain_files, capsys):
     assert doc["values"] == [[0.0, 1.0], [1.0, 0.0]]
 
 
+@pytest.mark.parametrize("model", ["mce", "birl"])
+def test_mce_and_birl_centroids_need_no_support(chain_files, capsys, model):
+    probs = np.array([[0.25, 0.75], [0.6, 0.4]])
+    save_policy(PolicyTable(probs), chain_files / "positive.json")
+    assert main(["centroid", "--model", model, "--policy", str(chain_files / "positive.json")]) == 0
+    values = np.array(json.loads(capsys.readouterr().out)["values"])
+    expected = np.log(probs) if model == "mce" else np.log(probs / probs.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+
 def test_simulate_estimate_plan_round_trip(chain_files, capsys):
     traj = chain_files / "traj.jsonl"
     assert main([
@@ -190,6 +200,19 @@ def test_geometry_report_is_standard_json(check, sigmas_off, capsys):
     main(["geometry", "--check", check, "--n", "1", "--seed", "1"])
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert doc["sigmas_off"] == sigmas_off
+
+
+@pytest.mark.parametrize("n, seed", [(20_000, 0), (1, 1)])
+def test_centroid_manifold_reports_its_worst_entry(n, seed, capsys):
+    # the entry with the most standard errors off eta; one sample gives zero errors
+    main(["geometry", "--check", "centroid-manifold", "--n", str(n), "--seed", str(seed)])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["target"] == 0.0 and np.isfinite(doc["estimate"]) and doc["estimate"] > 0.0
+    if n == 1:
+        assert doc["std_error"] == 0.0 and doc["sigmas_off"] is None and doc["pass"] is False
+    else:
+        assert doc["sigmas_off"] == pytest.approx(doc["estimate"] / doc["std_error"], rel=1e-12)
+        assert doc["pass"] is (doc["sigmas_off"] <= 4.0)
 
 
 # centroid-opt and centroid-prior refuse a run that accepts no sample
@@ -627,6 +650,20 @@ def test_grid_over_the_size_limit_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: a 300x300 grid needs a ") and "Traceback" not in err
     assert not (tmp_path / "mdp.json").exists()
+
+
+def test_lp_over_the_size_limit_is_an_error_line(tmp_path, capsys, monkeypatch):
+    (source, expert, target, _), size = fig2b_mimic()
+    paths = [tmp_path / name for name in ("source.json", "expert.json", "target.json")]
+    save_mdp(source, paths[0])
+    save_policy(expert, paths[1])
+    save_mdp(target, paths[2])
+    monkeypatch.setattr(planning, "MAX_LP_BYTES", size - 1)
+    argv = ["mimic", "--source-mdp", str(paths[0]), "--policy", str(paths[1]), "--target-mdp", str(paths[2])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[0]}, {paths[1]}, {paths[2]}: an occupancy LP of 106 rows")
+    assert "Traceback" not in err
 
 
 ESTIMATE_MCE = ["estimate", "--model", "mce", "--data", "{dir}/t.jsonl", "--num-states", "2", "--num-actions", "2"]

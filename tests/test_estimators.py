@@ -119,6 +119,10 @@ class TestDatasets:
         with pytest.raises(DomainError):
             TrajectoryDataset(states=-np.ones((1, 2), int), actions=np.zeros((1, 2), int))
 
+    def test_zero_length_trajectories_rejected(self):
+        with pytest.raises(DomainError, match="^trajectories must have length >= 1$"):
+            TrajectoryDataset(states=np.zeros((2, 0), int), actions=np.zeros((2, 0), int))
+
     @pytest.mark.parametrize(
         "states, actions",
         [
@@ -147,6 +151,11 @@ class TestSimulate:
         data = simulate_expert(mdp, expert, n=5, h=4, seed=9)
         assert np.all(data.states == data.states[0])
         assert np.all(data.states[0] == [0, 1, 2, 0])
+
+    @pytest.mark.parametrize("n, h", [(0, 4), (5, 0)])
+    def test_counts_below_one_rejected(self, n, h):
+        with pytest.raises(DomainError, match="^n and h must be >= 1$"):
+            simulate_expert(cycle_mdp(3), det_policy([0, 0, 0], 2), n=n, h=h, seed=0)
 
     def test_one_state_mdp_stays_home(self):
         mdp = TabularMdp(1, 2, 0, np.ones((1, 2, 1)), 0.5)
@@ -346,6 +355,12 @@ class TestFirstVisitCounts:
         data = TrajectoryDataset(states=[[0, 0]], actions=[[0, 1]])
         counts = first_visit_counts(data, (1, 2))
         assert counts.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("dims", [(0, 2), (1, 0)])
+    def test_dims_below_one_rejected(self, dims):
+        data = TrajectoryDataset(states=[[0, 0]], actions=[[0, 1]])
+        with pytest.raises(DomainError, match="^dims must be positive$"):
+            first_visit_counts(data, dims)
 
     def test_two_trajectories_disagree(self):
         data = TrajectoryDataset(states=[[0], [0]], actions=[[0], [1]])
@@ -594,6 +609,10 @@ class TestVisitProbability:
         expert = det_policy([0] * 4, 2)
         assert p_min_h(mdp, expert, 4) == pytest.approx(1.0)
 
+    def test_horizon_below_one_rejected(self):
+        with pytest.raises(DomainError, match="^h must be >= 1$"):
+            p_min_h(cycle_mdp(4), det_policy([0] * 4, 2), 0)
+
     def test_two_state_chain_jump(self):
         mdp = fig_two_state_chain(0.5)
         assert p_min_h(mdp, det_policy([1, 0], 2), 2) == pytest.approx(1.0)
@@ -691,6 +710,23 @@ class TestSampleBound:
     def test_rejects_empty_sizes(self, kind, sizes):
         with pytest.raises(DomainError, match="must be >= 1"):
             sample_bound(kind, **sizes, delta=0.1, p_min=0.5, horizon=2, eps=0.5, pi_min_prime=0.1)
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", 0.0, r"delta must lie in \(0, 1\)"),
+        ("delta", 1.0, r"delta must lie in \(0, 1\)"),
+        ("p_min", 0.0, r"p_min must lie in \(0, 1\]"),
+        ("p_min", 1.5, r"p_min must lie in \(0, 1\]"),
+        ("eps", None, r"eps must lie in \(0, 1\]"),
+        ("eps", 1.5, r"eps must lie in \(0, 1\]"),
+        ("pi_min_prime", None, r"pi_min_prime must lie in \(0, 1\)"),
+        ("pi_min_prime", 1.0, r"pi_min_prime must lie in \(0, 1\)"),
+    ])
+    def test_rejects_values_out_of_range(self, field, value, message):
+        args = dict(num_states=2, num_actions=2, support_size=2, delta=0.1, p_min=0.5, horizon=2,
+                    eps=0.5, pi_min_prime=0.1)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sample_bound("mce", **{**args, field: value})
 
 
 class TestExactRecoveryGuarantee:

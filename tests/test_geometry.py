@@ -146,6 +146,21 @@ class TestOperators:
         with pytest.raises(DomainError):
             t_operator(mdp, PolicyTable([[0.5, 0.5], [1.0, 0.0]]), np.zeros(2), AdvantageGap(np.zeros((2, 2))))
 
+    def test_t_operator_rejects_a_gap_at_the_policy_action(self, rng):
+        mdp = random_mdp(2, 2, 0.5, rng)
+        gaps = AdvantageGap(np.array([[-0.5, 0.0], [0.0, -1.0]]))  # action 0 in state 0 is the policy's
+        with pytest.raises(DomainError, match="^gap at the policy's action must be exactly 0$"):
+            t_operator(mdp, det_policy([0, 0], 2), np.zeros(2), gaps)
+
+    @pytest.mark.parametrize("v", [np.zeros(3), np.zeros((2, 2))])
+    def test_u_operator_rejects_a_value_vector_of_another_shape(self, rng, v):
+        with pytest.raises(DomainError, match="^v must be a length-S vector$"):
+            u_operator(random_mdp(2, 2, 0.5, rng), RewardTable(np.zeros((2, 2))), v)
+
+    def test_advantage_gap_rejects_a_positive_entry(self):
+        with pytest.raises(DomainError, match="^gap values must be nonpositive$"):
+            AdvantageGap(np.array([[0.0, 0.1]]))
+
     def test_one_hot_rows_are_deterministic_without_a_flag(self, rng):
         # determinism is read from the table: PolicyTable(one-hot rows) is
         # the same policy as from_actions, for both operators
@@ -368,6 +383,13 @@ class TestBoundingBox:
         params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
         assert bounding_box(params, 0.0) == pytest.approx((-2.0, 1.0))
         assert bounding_box(params, 0.5) == pytest.approx((-4.0, 3.0))
+
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0])
+    def test_discount_outside_the_unit_interval_rejected(self, gamma):
+        params = BoundedSetParams(c1=1.0, c2=1.0, model=BehaviorModel.opt())
+        with pytest.raises(DomainError, match=r"^gamma must lie in \[0, 1\)$"):
+            bounding_box(params, gamma)
 
 
 def abs_dets(mdp, policy):

@@ -241,6 +241,11 @@ class TestBuild:
         with pytest.raises(DomainError):
             small_spec(gamma=1.0)
 
+    @pytest.mark.parametrize("size", [{"width": 0}, {"height": 0}])
+    def test_empty_grid_rejected(self, size):
+        with pytest.raises(DomainError, match="^grid dimensions must be positive$"):
+            small_spec(**size)
+
     @pytest.mark.parametrize("initial", [(0, 0), [0, 0]])
     @pytest.mark.parametrize("blocked", [((0, 0),), [[0, 0]]])
     def test_blocked_initial_cell_rejected_as_tuples_or_lists(self, initial, blocked):

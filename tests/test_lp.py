@@ -80,6 +80,10 @@ class TestExamples:
                 ub_lhs=[[1.0]], ub_rhs=[1.0],
             )
 
+    def test_program_without_rows_rejected(self):
+        with pytest.raises(DomainError, match="^program needs at least one constraint$"):
+            solve(ub_program([1.0], np.zeros((0, 1)), []))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainError):
             LinearProgram(

@@ -18,6 +18,7 @@ from rewardcentroids.geometry import (
     is_in_bounded_set,
     shaping,
     shaping_matrix,
+    t_matrix,
 )
 from rewardcentroids.mclab import (
     McEstimate,
@@ -260,6 +261,33 @@ def test_linear_maps_reproduce_policy_evaluation(S, A, gamma, seed):
         atol = 1e-9 * (1.0 + np.abs(exact.v).max()) / (1.0 - gamma)
         np.testing.assert_allclose(values[:, i], exact.v, rtol=0.0, atol=atol)
         np.testing.assert_allclose(gaps[:, i], exact.advantage.ravel()[free], rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.999])
+@pytest.mark.parametrize("S, A", [(1, 2), (2, 3), (3, 2), (4, 3)])
+def test_maps_are_the_rows_of_the_inverse_t_operator(rng, S, A, gamma):
+    mdp = random_mdp(S, A, gamma, rng)
+    for actions in rng.integers(A, size=(4, S)):
+        ev = _PolicyEvaluator(mdp, actions)
+        product = np.vstack([ev.value_map, ev.gap_map]) @ t_matrix(mdp, det_policy(actions, A))
+        np.testing.assert_allclose(product, np.eye(S * A), rtol=0.0, atol=1e-9 / (1.0 - gamma))
+
+
+def test_bias_ratio_draw_is_shaping_plus_the_free_pair_gaps(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mclab, "_bernoulli_fraction", lambda draw, hit, n, seed: draws.append(draw))
+    new_env_bias_ratio(3.0, 10, 0)
+    src, _ = mclab._bias_ratio_instances(mclab.BIAS_RATIO_GAMMA)
+    rewards = draws[0](np.random.default_rng(5), 1_000)
+    same = np.random.default_rng(5)
+    halfwidth = k_pi(src, det_policy([1, 0], 2))
+    v = same.uniform(-halfwidth, halfwidth, size=(1_000, 2))
+    gaps = same.uniform(-3.0, 0.0, size=(1_000, 2))
+    expected = shaping(src, v)
+    terms = np.abs(expected) + 3.0  # every action loops: one shaping product, then a gap of at most c2
+    expected[:, 0, 0] += gaps[:, 0]
+    expected[:, 1, 1] += gaps[:, 1]
+    assert np.all(np.abs(rewards - expected) <= 4.0 * np.finfo(float).eps * terms)
 
 
 @pytest.mark.parametrize("S, A", SHAPES)

@@ -57,6 +57,25 @@ class TestTypes:
         with pytest.raises(DomainError):
             TabularMdp(2, 1, 0, p2, 0.5)
 
+    @pytest.mark.parametrize("S, A", [(0, 2), (1, 0)])
+    def test_empty_state_or_action_space_rejected(self, S, A):
+        with pytest.raises(DomainError, match="^num_states and num_actions must be positive$"):
+            TabularMdp(S, A, 0, np.ones((S, A, S)), 0.5)
+
+    def test_transitions_of_another_shape_rejected(self):
+        with pytest.raises(DomainError, match=r"^transitions must have shape \(2, 2, 2\), got \(2, 2, 3\)$"):
+            TabularMdp(2, 2, 0, np.full((2, 2, 3), 1.0 / 3.0), 0.5)
+
+    def test_one_axis_table_rejected(self):
+        with pytest.raises(DomainError, match="^reward values must be a 2-d table$"):
+            RewardTable([1.0, 2.0])
+
+    def test_negative_policy_and_occupancy_entries_rejected(self):
+        with pytest.raises(DomainError, match="^policy probs must be nonnegative$"):
+            PolicyTable([[1.5, -0.5]])
+        with pytest.raises(DomainError, match="^occupancy must be nonnegative$"):
+            OccupancyMeasure([[1.5, -0.5]])
+
     def test_discount_range(self):
         with pytest.raises(DomainError):
             TabularMdp(1, 1, 0, np.ones((1, 1, 1)), 1.0)

@@ -1,5 +1,7 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from rewardcentroids.planning import (
     suboptimality_bound,
 )
 
-from conftest import det_policy, one_state_mdp, random_policy, solve_permuted
+from conftest import det_policy, fig2b_mimic, one_state_mdp, random_policy, solve_permuted
 
 ROOT = Path(__file__).resolve().parent.parent
 # The scenarios that solve an occupancy LP: six MIMIC programs, then two
@@ -366,6 +368,56 @@ class TestMimic:
         expert = PolicyTable(np.random.default_rng(3).dirichlet(np.ones(5) * 0.3, size=100))
         result = mimic_policy(source, expert, target, blocked)
         assert result.l1_distance == pytest.approx(0.5847936693, abs=1e-9)
+
+
+class TestLpSize:
+    """An occupancy LP is size-checked before any program-sized array is built."""
+
+    @pytest.fixture(scope="class")
+    def fig2b(self):
+        return fig2b_mimic()
+
+    def test_mimic_over_the_limit_raises_before_allocating(self, fig2b, monkeypatch):
+        inputs, size = fig2b
+        monkeypatch.setattr(planning, "MAX_LP_BYTES", size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^an occupancy LP of 106 rows and 506 variables needs "):
+                mimic_policy(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the expert's S x S occupancy solve; the flow rows alone take 405 KB
+        assert peak < size / 3
+
+    def test_mimic_at_the_limit_solves(self, fig2b, monkeypatch):
+        inputs, size = fig2b
+        monkeypatch.setattr(planning, "MAX_LP_BYTES", size)
+        assert mimic_policy(*inputs).l1_distance > 0.0
+
+    def test_constrained_plan_at_and_over_the_limit(self, monkeypatch):
+        # 2 flow rows and the budget row; 4 variables and one slack: 8 * 3 * (2 * 6 + 3) bytes
+        mdp = fig_two_state_chain(0.5)
+        constraint = ConstraintSpec(cost=RewardTable(np.zeros((2, 2))), budget=0.0)
+        monkeypatch.setattr(planning, "MAX_LP_BYTES", 360)
+        plan_constrained(mdp, RewardTable(np.eye(2)), constraint)
+        monkeypatch.setattr(planning, "MAX_LP_BYTES", 359)
+        with pytest.raises(DomainError, match=r"^an occupancy LP of 3 rows and 4 variables needs "):
+            plan_constrained(mdp, RewardTable(np.eye(2)), constraint)
+
+    @pytest.mark.parametrize("side, support, constrained, fits", [
+        (42, 0, True, True),  # every constrained plan on the largest grid: 274 MB
+        (23, 5 * 23 * 23, True, True),  # full-support MIMIC: 484 MB
+        (24, 5 * 24 * 24, False, False),  # 573 MB, over 512 MiB
+    ])
+    def test_limit_on_grid_programs(self, side, support, constrained, fits):
+        shape = SimpleNamespace(num_states=side * side, num_actions=NUM_GRID_ACTIONS)  # no 42x42 table is built
+        constraint = ConstraintSpec(cost=RewardTable(np.zeros((1, 1))), budget=0.0) if constrained else None
+        if fits:
+            planning._check_lp_size(shape, constraint, support)
+        else:
+            with pytest.raises(DomainError, match=r"needs 547 MiB .* over the 512 MiB limit$"):
+                planning._check_lp_size(shape, constraint, support)
 
 
 class TestMimicOptimum:
