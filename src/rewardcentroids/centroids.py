@@ -119,10 +119,10 @@ def affine_fit(estimate: RewardTable, reference: RewardTable) -> AffineFit:
     rescaling convention demands it.  A constant reference makes the design
     degenerate and is rejected.
     """
+    if estimate.values.shape != reference.values.shape:
+        raise DomainError("estimate and reference must share a shape")
     est = estimate.values.ravel()
     ref = reference.values.ravel()
-    if est.shape != ref.shape:
-        raise DomainError("estimate and reference must share a shape")
     if np.ptp(ref) == 0.0:
         raise DomainError("reference must be non-constant for an affine fit")
     design = np.stack([ref, np.ones_like(ref)], axis=1)

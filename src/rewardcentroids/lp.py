@@ -153,6 +153,14 @@ def _basis_tableau(ab: np.ndarray, basis, feas_tol: float):
     return tab, basis
 
 
+def held_bytes(rows: int, variables: int, ub_rows: int) -> int:
+    """What solve holds for a program: the standard form [A | b] and the
+    tableau, each rows x (variables + ub_rows + 1) float64, and the rows x
+    rows basis inverse; not the program's own arrays, nor _pivot's row-block
+    temporaries."""
+    return 8 * rows * (2 * (variables + ub_rows + 1) + rows)
+
+
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
     """Solve the program from a starting basis; returns the tie objective's
     optimum over the optimal face, or raises SolverError.

@@ -28,8 +28,8 @@ MAX_TRANSITION_BYTES = 128 * 2**20
 # The most that simulate_expert may allocate for its trajectories
 # (`estimators.check_rollout_size`).
 MAX_ROLLOUT_BYTES = 512 * 2**20
-# The most that lp.solve may hold for one occupancy LP
-# (`planning._check_lp_size`); every constrained plan on a 42x42 grid fits.
+# The most that lp.solve may hold for one occupancy LP (`lp.held_bytes`, checked
+# in `planning._occupancy_lp`); every constrained plan on a 42x42 grid fits.
 MAX_LP_BYTES = 512 * 2**20
 
 

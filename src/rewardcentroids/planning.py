@@ -24,8 +24,8 @@ of minus the cost.  A deterministic min-cost policy attains the least cost
 value of any policy (Altman 1999), so when even it is over budget no policy
 is feasible and no LP is solved.  Every solution is certified: its primal
 residual and its duality gap must stay within CERTIFY_TOL * (1 + |objective|).
-A program that lp.solve could not hold within MAX_LP_BYTES is refused
-before any program-sized array is built.
+_occupancy_lp refuses a program that lp.solve could not hold within
+MAX_LP_BYTES (lp.held_bytes) before it allocates any program-sized array.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleConstraintError, SolverError
 from .geometry import OPT, AdvantageGap, check_expert, shaping_matrix, t_operator
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, held_bytes, solve
 from .mdp import (
     MAX_LP_BYTES,
     OccupancyMeasure,
@@ -87,53 +87,42 @@ def plan_unconstrained(mdp: TabularMdp, r: RewardTable) -> PolicyTable:
     return greedy_policy(value_iteration(mdp, r))
 
 
-def _check_lp_size(mdp: TabularMdp, constraint: ConstraintSpec | None, support_rows: int = 0) -> None:
-    """DomainError when the occupancy LP over mdp, with the constraint's
-    budget row and MIMIC's support_rows slack rows (one variable each), needs
-    more than MAX_LP_BYTES.
-
-    The count is what lp.solve holds at once: the standard form [A | b] and
-    the tableau B^-1 [A | b], each rows x (variables + ub rows + 1) float64,
-    and the rows x rows basis inverse.
+def _occupancy_lp(
+    mdp: TabularMdp, objective: np.ndarray, constraint: ConstraintSpec | None, d_e: np.ndarray
+) -> LinearProgram:
+    """The occupancy LP over mdp: the flow rows, the budget row under a
+    constraint, and per pair i in the support of the flat expert occupancy d_e
+    the row -d_i - w_i <= -d_E,i, with w_i of cost 1 after the S*A variables
+    that `objective` prices.  A zero d_e gives the plan program.  A program
+    over MAX_LP_BYTES (lp.held_bytes) is refused before it is built.
     """
-    ub_rows = (constraint is not None) + support_rows
-    rows = mdp.num_states + ub_rows
-    variables = mdp.num_states * mdp.num_actions + support_rows
-    size = 8 * rows * (2 * (variables + ub_rows + 1) + rows)
+    S, A = mdp.num_states, mdp.num_actions
+    support = np.flatnonzero(d_e)
+    k = support.size
+    budget = int(constraint is not None)
+    ub_rows, n = budget + k, S * A + k
+    size = held_bytes(S + ub_rows, n, ub_rows)
     if size > MAX_LP_BYTES:
         raise DomainError(
-            f"an occupancy LP of {rows:,} rows and {variables:,} variables needs {size / 2**20:,.0f} MiB "
+            f"an occupancy LP of {S + ub_rows:,} rows and {n:,} variables needs {size / 2**20:,.0f} MiB "
             f"for its standard form, tableau and basis inverse, over the {MAX_LP_BYTES // 2**20} MiB limit"
         )
-
-
-def _occupancy_lp(
-    mdp: TabularMdp,
-    objective: np.ndarray,
-    constraint: ConstraintSpec | None,
-    extra_vars: int = 0,
-    extra_ub: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LinearProgram:
-    S, A = mdp.num_states, mdp.num_actions
-    n = S * A + extra_vars
     eq_lhs = np.zeros((S, n))
     eq_lhs[:, : S * A] = shaping_matrix(mdp).T  # the flow rows
     eq_rhs = np.zeros(S)
     eq_rhs[mdp.initial_state] = 1.0 - mdp.discount
-    ub_lhs = np.zeros((0, n))
-    ub_rhs = np.zeros(0)
+    ub_lhs = np.zeros((ub_rows, n))
+    ub_rhs = np.empty(ub_rows)
     if constraint is not None:
         check_table(mdp, constraint.cost.values, "constraint cost")
-        row = np.zeros((1, n))
-        row[0, : S * A] = constraint.cost.values.ravel()
-        ub_lhs = np.vstack([ub_lhs, row])
-        ub_rhs = np.concatenate([ub_rhs, [(1.0 - mdp.discount) * constraint.budget]])
-    if extra_ub is not None:
-        ub_lhs = np.vstack([ub_lhs, extra_ub[0]])
-        ub_rhs = np.concatenate([ub_rhs, extra_ub[1]])
-    return LinearProgram(
-        objective=objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs, ub_lhs=ub_lhs, ub_rhs=ub_rhs
-    )
+        ub_lhs[0, : S * A] = constraint.cost.values.ravel()
+        ub_rhs[0] = (1.0 - mdp.discount) * constraint.budget
+    # w_i >= d_E,i - d_i  <=>  -d_i - w_i <= -d_E,i
+    ub_lhs[budget + np.arange(k), support] = -1.0
+    np.fill_diagonal(ub_lhs[budget:, S * A :], -1.0)
+    ub_rhs[budget:] = -d_e[support]
+    objective = np.concatenate([objective, np.ones(k)])
+    return LinearProgram(objective=objective, eq_lhs=eq_lhs, eq_rhs=eq_rhs, ub_lhs=ub_lhs, ub_rhs=ub_rhs)
 
 
 def policy_from_occupancy(d: OccupancyMeasure) -> PolicyTable:
@@ -216,8 +205,7 @@ def _solve_occupancy(
 def plan_constrained(mdp: TabularMdp, r: RewardTable, constraint: ConstraintSpec) -> PlanResult:
     """Maximize V(s0; r) over policies whose cost value stays within budget."""
     check_table(mdp, r.values, "reward")
-    _check_lp_size(mdp, constraint)
-    lp = _occupancy_lp(mdp, -r.values.ravel(), constraint)
+    lp = _occupancy_lp(mdp, -r.values.ravel(), constraint, np.zeros(r.values.size))
     actions, d = _crash(mdp, r.values, constraint, "no policy satisfies the cost budget")
     basis = _start_basis(lp, actions, d)
     policy, occ = _solve_occupancy(mdp, lp, basis)
@@ -255,19 +243,8 @@ def mimic_policy(
         target_mdp.num_actions,
     ):
         raise DomainError("source and target MDPs must share state/action spaces")
-    sa = target_mdp.num_states * target_mdp.num_actions
     d_e = occupancy_measure(source_mdp, expert).d.ravel()
-    support = np.flatnonzero(d_e)
-    k = support.size
-    _check_lp_size(target_mdp, constraint, k)
-    objective = np.concatenate([np.zeros(sa), np.ones(k)])
-    # w_i >= d_E,i - d_i  <=>  -d_i - w_i <= -d_E,i
-    slack_lhs = np.zeros((k, sa + k))
-    slack_lhs[np.arange(k), support] = -1.0
-    slack_lhs[:, sa:] = -np.eye(k)
-    lp = _occupancy_lp(
-        target_mdp, objective, constraint, extra_vars=k, extra_ub=(slack_lhs, -d_e[support]),
-    )
+    lp = _occupancy_lp(target_mdp, np.zeros(d_e.size), constraint, d_e)
     in_support = (d_e > 0).astype(float).reshape(target_mdp.num_states, -1)
     actions, d = _crash(
         target_mdp, in_support, constraint, "no feasible occupancy satisfies the constraints"

@@ -118,11 +118,9 @@ def solve_permuted(program: LinearProgram, perm: np.ndarray, basis=None) -> np.n
 
 
 def lp_bytes(program: LinearProgram) -> int:
-    """What lp.solve holds for a program: the standard form and the tableau,
-    rows x (variables + ub rows + 1) float64 each, and the rows x rows basis
-    inverse."""
-    rows = program.eq_rhs.size + program.ub_rhs.size
-    return 8 * rows * (2 * (program.num_vars + program.ub_rhs.size + 1) + rows)
+    """lp.held_bytes of a built program."""
+    ub_rows = program.ub_rhs.size
+    return lp_module.held_bytes(program.eq_rhs.size + ub_rows, program.num_vars, ub_rows)
 
 
 def fig2b_mimic():

@@ -294,6 +294,8 @@ class TestAffineFit:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DomainError, match="^estimate and reference must share a shape$"):
             affine_fit(RewardTable([[1.0, 2.0]]), RewardTable([[1.0, 2.0, 3.0]]))
+        with pytest.raises(DomainError, match="^estimate and reference must share a shape$"):
+            affine_fit(RewardTable([[1.0, 2.0]]), RewardTable([[1.0], [2.0]]))
 
     def test_rejects_constant_reference(self):
         with pytest.raises(DomainError):

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rewardcentroids import lp as lp_module
+from rewardcentroids import lp as lp_module, planning
 from rewardcentroids.errors import DomainError, SolverError
+from rewardcentroids.gridworld import GridworldSpec, build_gridworld
 from rewardcentroids.lp import (
     LinearProgram,
     LpSolution,
     solve,
     tie_objective,
 )
+from rewardcentroids.mdp import RewardTable, occupancy_measure
+from rewardcentroids.planning import ConstraintSpec, plan_unconstrained
 
 from conftest import solve_permuted
 
@@ -119,6 +122,32 @@ class TestAgainstBruteForce:
             scale = 1e-7 * (1.0 + np.abs(b).max())
             assert np.all(A @ sol.x <= b + scale)
             assert np.all(sol.x >= -scale)
+
+    @pytest.mark.parametrize("budget", [0.0, 0.5])
+    @pytest.mark.parametrize("planner", ["plan", "mimic"])
+    def test_degenerate_grid_programs(self, planner, budget):
+        # A 2x1 grid reversed, its second cell blocked: the reward and the
+        # source expert both lead there, and a budget of 0 shuts it.  The
+        # programs are built and started as the planners build and start them.
+        goal = RewardTable([[0.0] * 5, [1.0] * 5])
+        source, _ = build_gridworld(GridworldSpec(2, 1, (0, 0), 0.9))
+        target, blocked = build_gridworld(
+            GridworldSpec(2, 1, (0, 0), 0.9, reversed=True, blocked_cells=((1, 0),))
+        )
+        constraint = ConstraintSpec(blocked.cost, budget)
+        if planner == "plan":
+            gain = goal.values
+            program = planning._occupancy_lp(target, -gain.ravel(), constraint, np.zeros(10))
+        else:
+            d_e = occupancy_measure(source, plan_unconstrained(source, goal)).d.ravel()
+            gain = (d_e > 0).astype(float).reshape(2, 5)
+            program = planning._occupancy_lp(target, np.zeros(10), constraint, d_e)
+        actions, d = planning._crash(target, gain, constraint, "")
+        sol = solve(program, planning._start_basis(program, actions, d))
+        # each equality row as two <= rows
+        A = np.vstack([program.eq_lhs, -program.eq_lhs, program.ub_lhs])
+        b = np.concatenate([program.eq_rhs, -program.eq_rhs, program.ub_rhs])
+        assert sol.objective_value == pytest.approx(brute_force_min(program.objective, A, b), abs=1e-9)
 
 
 def assert_dual_certificate(c, A, b, sol):

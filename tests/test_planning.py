@@ -6,14 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rewardcentroids import planning
+from rewardcentroids import lp as lp_module, planning
 from rewardcentroids.centroids import CentroidRequest, centroid
 from rewardcentroids.errors import DomainError, InfeasibleConstraintError, SolverError
-from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible
+from rewardcentroids.geometry import OPT, BehaviorModel, is_feasible, shaping_matrix
 from rewardcentroids.gridworld import NUM_GRID_ACTIONS, GridworldSpec, build_gridworld, run_scenario
 from rewardcentroids.lp import LinearProgram, solve
 from rewardcentroids.mclab import fig_two_state_chain
 from rewardcentroids.mdp import (
+    MAX_LP_BYTES,
     OccupancyMeasure,
     PolicyTable,
     RewardTable,
@@ -405,19 +406,85 @@ class TestLpSize:
         with pytest.raises(DomainError, match=r"^an occupancy LP of 3 rows and 4 variables needs "):
             plan_constrained(mdp, RewardTable(np.eye(2)), constraint)
 
-    @pytest.mark.parametrize("side, support, constrained, fits", [
-        (42, 0, True, True),  # every constrained plan on the largest grid: 274 MB
-        (23, 5 * 23 * 23, True, True),  # full-support MIMIC: 484 MB
-        (24, 5 * 24 * 24, False, False),  # 573 MB, over 512 MiB
+    def test_mimic_program_is_built_in_place(self, fig2b):
+        # The build peaks at the program's own arrays and one shaping_matrix,
+        # the flow rows before they are copied into eq_lhs: no block is copied.
+        (source, expert, target, constraint), _ = fig2b
+        d_e = occupancy_measure(source, expert).d.ravel()
+        objective = np.zeros(d_e.size)
+        tracemalloc.start()
+        try:
+            program = planning._occupancy_lp(target, objective, constraint, d_e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(getattr(program, field.name).nbytes for field in dataclasses.fields(program))
+        assert peak <= own + shaping_matrix(target).nbytes
+
+    @pytest.mark.parametrize("side, support, constrained, mib", [
+        (42, 0, True, 261),  # every constrained plan on the largest grid: 274 MB
+        (23, 5 * 23 * 23, True, 461),  # full-support MIMIC: 484 MB
+        (24, 5 * 24 * 24, False, 547),  # 573 MB, over 512 MiB
     ])
-    def test_limit_on_grid_programs(self, side, support, constrained, fits):
-        shape = SimpleNamespace(num_states=side * side, num_actions=NUM_GRID_ACTIONS)  # no 42x42 table is built
+    def test_limit_on_grid_programs(self, monkeypatch, side, support, constrained, mib):
+        S, A = side * side, NUM_GRID_ACTIONS
+        ub_rows = constrained + support
+        rows, variables = S + ub_rows, S * A + support
+        size = lp_module.held_bytes(rows, variables, ub_rows)
+        fits = size <= MAX_LP_BYTES
+        assert fits == (mib < MAX_LP_BYTES // 2**20)
+        # _occupancy_lp counts the same program and refuses it before it reads
+        # a table: the stand-in has none, so no 42x42 table is built.
+        shape = SimpleNamespace(num_states=S, num_actions=A)
         constraint = ConstraintSpec(cost=RewardTable(np.zeros((1, 1))), budget=0.0) if constrained else None
+        d_e = np.zeros(S * A)
+        d_e[:support] = 1.0
         if fits:
-            planning._check_lp_size(shape, constraint, support)
-        else:
-            with pytest.raises(DomainError, match=r"needs 547 MiB .* over the 512 MiB limit$"):
-                planning._check_lp_size(shape, constraint, support)
+            monkeypatch.setattr(planning, "MAX_LP_BYTES", size - 1)
+        limit = planning.MAX_LP_BYTES // 2**20
+        message = rf"^an occupancy LP of {rows:,} rows and {variables:,} variables needs {mib} MiB .* over the {limit} MiB limit$"
+        with pytest.raises(DomainError, match=message):
+            planning._occupancy_lp(shape, np.zeros(S * A), constraint, d_e)
+
+
+class TestOccupancyLp:
+    """One builder lays out both programs: the flow rows, the budget row, then
+    one row and one unit-cost w_i per pair of the expert's support."""
+
+    @pytest.fixture
+    def inputs(self, rng):
+        mdp = random_mdp(4, 3, 0.8, rng)
+        cost = RewardTable(rng.uniform(0.0, 1.0, size=(4, 3)))
+        d_e = occupancy_measure(mdp, det_policy([0, 2, 1, 0], 3)).d.ravel()
+        return mdp, rng.normal(size=12), ConstraintSpec(cost, 2.0), d_e
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_zero_expert_occupancy_gives_the_plan_program(self, inputs, constrained):
+        mdp, objective, constraint, _ = inputs
+        constraint = constraint if constrained else None
+        program = planning._occupancy_lp(mdp, objective, constraint, np.zeros(12))
+        assert program.num_vars == 12 and program.ub_lhs.shape == (int(constrained), 12)
+        assert np.array_equal(program.objective, objective)
+        assert np.abs(program.eq_lhs - flow_matrix(mdp)).max() <= 1e-15
+        assert np.array_equal(program.eq_rhs, (1.0 - mdp.discount) * np.eye(4)[mdp.initial_state])
+        if constrained:
+            assert np.array_equal(program.ub_lhs[0], constraint.cost.values.ravel())
+            assert program.ub_rhs[0] == (1.0 - mdp.discount) * constraint.budget
+
+    def test_support_rows_follow_the_budget_row(self, inputs):
+        mdp, objective, constraint, d_e = inputs
+        plan = planning._occupancy_lp(mdp, objective, constraint, np.zeros(12))
+        program = planning._occupancy_lp(mdp, objective, constraint, d_e)
+        support = np.flatnonzero(d_e)
+        k = support.size
+        assert 0 < k < 12 and program.num_vars == 12 + k
+        assert np.array_equal(program.objective, np.concatenate([objective, np.ones(k)]))
+        assert np.array_equal(program.eq_lhs, np.hstack([plan.eq_lhs, np.zeros((4, k))]))
+        assert np.array_equal(program.ub_lhs[0], np.append(plan.ub_lhs[0], np.zeros(k)))
+        rows = np.zeros((k, 12))
+        rows[np.arange(k), support] = -1.0
+        assert np.array_equal(program.ub_lhs[1:], np.hstack([rows, -np.eye(k)]))
+        assert np.array_equal(program.ub_rhs, np.append(plan.ub_rhs, -d_e[support]))
 
 
 class TestMimicOptimum:
