@@ -34,6 +34,8 @@ from .mdp import (
     transition_matrix,
 )
 
+BLOCK = 1 << 14  # trajectories drawn or counted at once, as mclab.BLOCK samples
+
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
@@ -41,8 +43,12 @@ class TrajectoryDataset:
 
     The indices keep the integer type they are given in (uint64 becomes
     np.intp).  They are stored time-major: states and actions are (N, H)
-    transposed views of read-only (H, N) copies, so `states.T[t]` is step t
-    of every trajectory.
+    transposed views of read-only (H, N) arrays, so `states.T[t]` is step t
+    of every trajectory.  An input is kept without a copy only when it is
+    already in that type and layout and the array that owns its memory is
+    read-only (as simulate_expert's buffers are); any other input, a
+    read-only view of a writable array too, is copied.  A view taken while
+    the owner was still writable stays writable, which numpy cannot see.
     """
 
     states: np.ndarray
@@ -59,8 +65,10 @@ class TrajectoryDataset:
         for name, indices in (("states", states), ("actions", actions)):
             # a type that np.intp cannot hold (uint64) is read as np.intp
             dtype = indices.dtype if np.can_cast(indices.dtype, np.intp) else np.intp
-            time_major = np.array(indices.T, dtype=dtype, order="C")
-            if np.any(time_major < 0):
+            owner = indices.base if isinstance(indices.base, np.ndarray) else indices
+            keep = np.array if owner.flags.writeable else np.asarray  # np.array always copies
+            time_major = keep(indices.T, dtype=dtype, order="C")
+            if time_major.size and time_major.min() < 0:
                 raise DomainError("state/action indices must be nonnegative")
             time_major.setflags(write=False)
             object.__setattr__(self, name, time_major.T)
@@ -81,6 +89,13 @@ def _check_dims(data: TrajectoryDataset, dims: tuple[int, int]) -> tuple[int, in
     if data.states.max() >= S or data.actions.max() >= A:
         raise DomainError("trajectory index out of range for the given dims")
     return S, A
+
+
+def _blocks(data: TrajectoryDataset):
+    """Time-major (h, block) states and actions of blocks of at most BLOCK trajectories."""
+    states, actions = data.states.T, data.actions.T
+    for lo in range(0, data.num_trajectories, BLOCK):
+        yield states[:, lo : lo + BLOCK], actions[:, lo : lo + BLOCK]
 
 
 def _pairs(states: np.ndarray, actions: np.ndarray, A: int) -> np.ndarray:
@@ -128,10 +143,13 @@ def check_rollout_size(mdp: TabularMdp, n: int, h: int, names: str = "n, h") -> 
     """DomainError, naming the inputs `names`, when n trajectories of length h
     need more than MAX_ROLLOUT_BYTES.
 
-    The estimate counts simulate_expert's (h, n) state and action buffers,
-    the dataset's copy of each, and 32 bytes a trajectory for one step's
-    float64 draws and intp indices (its peak under tracemalloc is 36 bytes
-    a trajectory at h = 1 and 7 a step at h = 10 on a 10x10 grid).
+    The estimate counts simulate_expert's (h, n) state and action buffers
+    twice and adds 32 bytes a trajectory for one step's float64 draws and
+    intp indices.  The rollout holds its buffers once, hands them to the
+    dataset without a copy and draws in blocks of BLOCK trajectories, so
+    the count bounds its peak with a margin: one copy of the buffers plus
+    under 1 MiB however large n is (29.2 MiB for a 28.6 MiB rollout of
+    n = 100,000, h = 100 on a 10x10 grid, under tracemalloc).
     """
     S, A = mdp.num_states, mdp.num_actions
     step = np.min_scalar_type(S * A).itemsize + np.min_scalar_type(A).itemsize
@@ -153,10 +171,12 @@ def simulate_expert(
     at t + 1), so the result does not depend on how the work is scheduled.
     Each draw is compared only with the columns of its CDF row that it can
     land on (`_candidates`), which picks the same index as comparing it
-    with the whole row.  The rollout fills compact time-major (h, n)
-    buffers of the smallest unsigned type that holds their indices (for
-    states, also every pair index s·A + a); the dataset keeps a copy in
-    those types and that layout.
+    with the whole row.  Each step is drawn in consecutive blocks of at most
+    BLOCK trajectories, which consume the stream as one draw of n would.
+    The rollout fills compact time-major (h, n) buffers of the smallest
+    unsigned type that holds their indices (for states, also every pair
+    index s·A + a), marks them read-only and hands them to the dataset
+    without a copy.
     """
     if n < 1 or h < 1:
         raise DomainError("n and h must be >= 1")
@@ -169,10 +189,17 @@ def simulate_expert(
     states = np.empty((h, n), dtype=np.min_scalar_type(S * A))  # also holds s·A + a
     actions = np.empty((h, n), dtype=np.min_scalar_type(A))
     states[0] = mdp.initial_state
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)]
     for t in range(h):
-        actions[t] = _draw(*policy, states[t], rng.random(n))
+        for b in blocks:
+            rows = states[t, b]
+            actions[t, b] = _draw(*policy, rows, rng.random(rows.size))
         if t + 1 < h:
-            states[t + 1] = _draw(*trans, _pairs(states[t], actions[t], A), rng.random(n))
+            for b in blocks:
+                rows = _pairs(states[t, b], actions[t, b], A)
+                states[t + 1, b] = _draw(*trans, rows, rng.random(rows.size))
+    states.setflags(write=False)
+    actions.setflags(write=False)
     return TrajectoryDataset(states=states.T, actions=actions.T)
 
 
@@ -180,27 +207,30 @@ def first_visit_counts(data: TrajectoryDataset, dims: tuple[int, int]) -> np.nda
     """The (S, A) int64 table of trajectories whose first visit to s played a.
 
     Later visits within a trajectory are not counted: the estimators'
-    analysis holds for first visits only.
+    analysis holds for first visits only.  Works through blocks of at most
+    BLOCK trajectories one step at a time, so its temporaries do not grow
+    with n.
     """
     S, A = _check_dims(data, dims)
-    states, actions = data.states.T, data.actions.T  # the time-major (h, n) buffers
-    visited = np.zeros(data.num_trajectories * S, dtype=bool)  # (n, S) table, raveled
-    first = np.empty(states.shape, dtype=bool)
-    row_start = np.arange(data.num_trajectories) * S
-    for t, s_t in enumerate(states):
-        key = row_start + s_t
-        first[t] = ~visited.take(key)
-        visited[key] = True
-    nsa = np.bincount(_pairs(states[first], actions[first], A), minlength=S * A)
-    return nsa.astype(np.int64, copy=False).reshape(S, A)
+    nsa = np.zeros(S * A, dtype=np.int64)
+    for s_block, a_block in _blocks(data):
+        row_start = np.arange(s_block.shape[1]) * S
+        visited = np.zeros(row_start.size * S, dtype=bool)  # (block, S) table, raveled
+        for s_t, a_t in zip(s_block, a_block):
+            key = row_start + s_t
+            first = ~visited.take(key)
+            visited[key] = True
+            nsa += np.bincount(_pairs(s_t[first], a_t[first], A), minlength=S * A)
+    return nsa.reshape(S, A)
 
 
 def estimate_opt(data: TrajectoryDataset, dims: tuple[int, int]) -> RewardTable:
     """OPT centroid estimate: 1 on visited pairs, 1/A on unvisited states, else 0."""
     S, A = _check_dims(data, dims)
     visited_pair = np.zeros(S * A, dtype=bool)
-    for s_t, a_t in zip(data.states.T, data.actions.T):  # one step of every trajectory at a time
-        visited_pair[_pairs(s_t, a_t, A)] = True
+    for s_block, a_block in _blocks(data):
+        for s_t, a_t in zip(s_block, a_block):  # one step of the block at a time
+            visited_pair[_pairs(s_t, a_t, A)] = True
     return opt_table(visited_pair.reshape(S, A))
 
 

@@ -26,7 +26,8 @@ MAX_POLICY_ITERATIONS = 1000
 # most of it writing mdp.json.
 MAX_TRANSITION_BYTES = 128 * 2**20
 # The most that simulate_expert may allocate for its trajectories
-# (`estimators.check_rollout_size`).
+# (`estimators.check_rollout_size`).  The count takes the (h, n) buffers twice;
+# the rollout holds them once, so it bounds the peak with a margin.
 MAX_ROLLOUT_BYTES = 512 * 2**20
 # The most that lp.solve may hold for one occupancy LP (`lp.held_bytes`, checked
 # in `planning._occupancy_lp`); every constrained plan on a 42x42 grid fits.

@@ -105,6 +105,16 @@ def trajectory_digest(data: TrajectoryDataset) -> str:
     return hashlib.sha256(states.tobytes() + actions.tobytes()).hexdigest()
 
 
+def traced_peak(call):
+    """call() and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def widened(data: TrajectoryDataset) -> TrajectoryDataset:
     """The same trajectories as int64 (n, h) arrays in C order."""
     return TrajectoryDataset(states=data.states.astype(np.int64), actions=data.actions.astype(np.int64))
@@ -116,8 +126,34 @@ class TestDatasets:
             TrajectoryDataset(states=np.zeros((2, 3), int), actions=np.zeros((2, 2), int))
 
     def test_negative_indices_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^state/action indices must be nonnegative$"):
             TrajectoryDataset(states=-np.ones((1, 2), int), actions=np.zeros((1, 2), int))
+
+    def test_no_trajectories_is_a_dataset(self):
+        data = TrajectoryDataset(states=np.zeros((0, 3), int), actions=np.zeros((0, 3), int))
+        assert data.num_trajectories == 0 and data.horizon == 3
+
+    @pytest.mark.parametrize("frozen_view", [False, True])
+    def test_an_input_that_can_still_be_written_is_copied(self, frozen_view):
+        # x is already in the dataset's layout: the transpose of a C-ordered (h, n) owner
+        owner = np.array(np.arange(12).reshape(3, 4), dtype=np.uint8)  # owns its memory
+        x = owner.T
+        if frozen_view:
+            x.setflags(write=False)  # the view is read-only, its owner is not
+        data = TrajectoryDataset(states=x, actions=x)
+        assert not np.shares_memory(data.states, x) and not np.shares_memory(data.actions, x)
+        before = data.states.copy()
+        owner[:] = 7
+        assert np.array_equal(data.states, before) and np.array_equal(data.actions, before)
+
+    def test_an_input_with_a_read_only_owner_is_kept(self):
+        owner = np.array(np.arange(12).reshape(3, 4), dtype=np.uint8)  # owns its memory
+        owner.setflags(write=False)
+        data = TrajectoryDataset(states=owner.T, actions=owner.T)
+        assert np.shares_memory(data.states, owner) and np.shares_memory(data.actions, owner)
+        # in another layout it is copied
+        data = TrajectoryDataset(states=owner, actions=owner)
+        assert not np.shares_memory(data.states, owner)
 
     def test_zero_length_trajectories_rejected(self):
         with pytest.raises(DomainError, match="^trajectories must have length >= 1$"):
@@ -213,10 +249,14 @@ class TestSimulate:
         rng = np.random.default_rng(seed)
         mdp = TabularMdp(S, A, int(rng.integers(S)), sparse_rows(rng, (S, A, S)), 0.5)
         expert = PolicyTable(sparse_rows(rng, (S, A)))
-        data = simulate_expert(mdp, expert, 300, h, seed)
         states, actions = dense_simulate(mdp, expert, 300, h, seed)
-        assert np.array_equal(data.states, states)
-        assert np.array_equal(data.actions, actions)
+        # the default block, and blocks of 7 that do not divide n = 300
+        for block in (estimators.BLOCK, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimators, "BLOCK", block)
+                data = simulate_expert(mdp, expert, 300, h, seed)
+            assert np.array_equal(data.states, states)
+            assert np.array_equal(data.actions, actions)
 
     # The rollout buffers' type changes at S·A = 256 (states, which also hold
     # s·A + a), A = 256 (actions) and S·A = 65,536.
@@ -236,18 +276,29 @@ class TestSimulate:
             assert arr.shape == (40, 6) and arr.T.flags.c_contiguous and not arr.flags.writeable
             assert not arr.T.flags.writeable
 
+    def test_simulated_dataset_holds_the_read_only_rollout_buffers(self):
+        mdp, expert = ring_chain()
+        data = simulate_expert(mdp, expert, 50, 5, seed=0)
+        for arr in (data.states, data.actions):
+            owner = arr.base
+            assert isinstance(owner, np.ndarray) and owner.shape == (5, 50)
+            assert owner.flags.owndata and not owner.flags.writeable
+
     def test_grid_rollout_peak_memory(self):
-        # fig3a's grid expert at n = 10,000, h = 100: the whole rollout stays
-        # below half of one int64 (n, h) pair of states and actions.
+        # fig3a's grid expert at n = 10,000, h = 100: the rollout holds its
+        # uint16 states and uint8 actions (3 bytes a step) once, plus 1 MiB.
         mdp, expert = fig3a_grid()
         n, h = 10_000, 100
-        tracemalloc.start()
-        try:
-            simulate_expert(mdp, expert, n, h, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * n * h * 16
+        _, peak = traced_peak(lambda: simulate_expert(mdp, expert, n, h, seed=1))
+        assert peak <= n * h * 3 + 2**20
+
+    def test_rollout_peak_above_its_data_does_not_grow_with_n(self):
+        mdp, expert = ring_chain()
+        above = []
+        for n in (30_000, 120_000):
+            data, peak = traced_peak(lambda: simulate_expert(mdp, expert, n, 5, seed=0))
+            above.append(peak - data.states.nbytes - data.actions.nbytes)
+        assert abs(above[1] - above[0]) < 0.25 * 2**20
 
     def test_rollout_over_the_size_limit_is_rejected_before_allocating(self):
         # a 3x3 grid at n = 10**8, h = 100: one byte a state and one an
@@ -270,6 +321,35 @@ class TestSimulate:
         simulate_expert(mdp, det_policy([0, 0], 2), 10, 4, seed=0)
         with pytest.raises(DomainError, match="11 trajectories of 4 steps"):
             simulate_expert(mdp, det_policy([0, 0], 2), 11, 4, seed=0)
+
+
+class TestBlocks:
+    """First-visit counts and estimates do not depend on the block size or grow with n."""
+
+    @pytest.mark.parametrize("setup", ["grid", "ring"])
+    def test_blocks_of_seven_match_the_default_block(self, setup, monkeypatch):
+        if setup == "grid":
+            (mdp, expert), n, h = fig3a_grid(), 2_000, 100
+        else:
+            # criterion 09's MCE sample_bound, over the default BLOCK too
+            (mdp, expert), n, h = ring_chain(), 45_949, 5
+        dims = (mdp.num_states, mdp.num_actions)
+        data = simulate_expert(mdp, expert, n, h, seed=5)
+        counts = first_visit_counts(data, dims)
+        estimates = {kind: estimate(data, dims, kind).values for kind in (OPT, MCE, BIRL)}
+        monkeypatch.setattr(estimators, "BLOCK", 7)
+        assert np.array_equal(first_visit_counts(data, dims), counts)
+        for kind, values in estimates.items():
+            assert np.array_equal(estimate(data, dims, kind).values, values), kind
+
+    @pytest.mark.parametrize("count", [first_visit_counts, estimate_opt])
+    def test_peak_above_the_data_does_not_grow_with_n(self, count):
+        mdp, expert = ring_chain()
+        peaks = []
+        for n in (30_000, 120_000):
+            data = simulate_expert(mdp, expert, n, 5, seed=0)
+            peaks.append(traced_peak(lambda: count(data, (5, 2)))[1])
+        assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20
 
 
 class TestCompactDataset:
